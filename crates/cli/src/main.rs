@@ -23,8 +23,8 @@
 //! format of `pll_core::v2` (construction statistics included). `query`,
 //! `stats`, `bench` and `serve` open any index via
 //! [`pll_core::AnyIndex`]: v1 files parse into owned indices as before,
-//! v2 files open with a single read plus pointer casts and are queried in
-//! place.
+//! v2 files open with a single read, one checksum pass and a structural
+//! scan, and are queried in place.
 //!
 //! `serve` starts the `pll-server` TCP query service over the shared
 //! read-only index and blocks until a client sends the SHUTDOWN opcode
@@ -353,6 +353,13 @@ fn stats(index_path: &str) -> Result<(), String> {
             " (parsed)"
         }
     );
+    let header = pll_core::v2::read_header_checksum(std::path::Path::new(index_path));
+    if let Some(header) = header.map_err(|e| e.to_string())? {
+        println!(
+            "header version:      {} (checksum {} {:016x})",
+            header.version, header.kind, header.value
+        );
+    }
     println!("vertices:            {}", index.num_vertices());
     // Family-specific detail: the undirected index additionally reports
     // its bit-parallel roots and label-size distribution; the two-sided

@@ -40,6 +40,7 @@
 
 pub mod bp;
 pub mod build;
+pub mod checksum;
 pub mod compact;
 pub mod directed;
 pub mod disk;

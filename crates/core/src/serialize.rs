@@ -30,6 +30,7 @@
 //! not persisted (a loaded index reports default stats).
 
 use crate::bp::{BitParallelLabels, BpEntry};
+use crate::checksum::fnv1a;
 use crate::error::{PllError, Result};
 use crate::index::PllIndex;
 use crate::label::LabelSet;
@@ -39,16 +40,6 @@ use pll_graph::reorder::inverse_permutation;
 use std::io::{Read, Write};
 
 const MAGIC: &[u8; 8] = b"PLLIDX01";
-
-/// FNV-1a 64-bit hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 struct Cursor<'a> {
     buf: &'a [u8],

@@ -11,14 +11,15 @@
 //! * [`ViewLabels`] / [`ViewBp`] — zero-copy [`SectionSlice`] views into a
 //!   single [`AlignedBytes`] buffer holding a v2 index file
 //!   ([`crate::v2`]), where every section starts on a 64-byte boundary so
-//!   opening an index is one read plus pointer casts.
+//!   a verified buffer is queried through pointer casts, never parsed.
 //!
 //! The query kernels in [`crate::label`], [`crate::bp`] and the index
 //! types are generic over these traits, so the exact same merge-join runs
 //! on either backend.
 //!
 //! This is the one module in the crate that uses `unsafe`: the pointer
-//! casts from the byte buffer to typed slices. Every cast is guarded by
+//! casts from the byte buffer to typed slices, and `pod_bytes` the
+//! other way for the v2 writer. Every buffer-to-typed cast is guarded by
 //! the bounds and alignment checks in [`SectionSlice::new`], and the
 //! element types are restricted to the sealed [`Pod`] trait (`u8`, `u32`,
 //! `u64`: no padding, no invalid bit patterns, alignment ≤ 8).
@@ -58,6 +59,16 @@ impl Pod for u32 {
 }
 impl Pod for u64 {
     const SIZE: usize = 8;
+}
+
+/// Views a [`Pod`] slice as its in-memory bytes — on the little-endian
+/// targets the v2 format supports, exactly the bytes the slice occupies
+/// as a file section, so the v2 writer hashes and writes arenas in place.
+pub(crate) fn pod_bytes<T: Pod>(slice: &[T]) -> &[u8] {
+    // SAFETY: `T: Pod` is sealed to `u8`/`u32`/`u64` — no padding, so all
+    // `size_of_val(slice)` bytes are initialised; `u8` has alignment 1;
+    // the returned borrow keeps `slice` alive and shared.
+    unsafe { std::slice::from_raw_parts(slice.as_ptr().cast::<u8>(), std::mem::size_of_val(slice)) }
 }
 
 /// An immutable byte buffer whose base address is 8-byte aligned, so any
@@ -526,6 +537,17 @@ mod tests {
             assert_eq!(buf.as_bytes().as_ptr() as usize % 8, 0, "base alignment");
             assert_eq!(buf.is_empty(), n == 0);
         }
+    }
+
+    #[test]
+    fn pod_bytes_views_the_little_endian_image() {
+        assert_eq!(pod_bytes::<u64>(&[]), &[] as &[u8]);
+        assert_eq!(pod_bytes(&[7u8, 9]), &[7, 9]);
+        assert_eq!(pod_bytes(&[0x0403_0201u32, 5]), &[1, 2, 3, 4, 5, 0, 0, 0]);
+        assert_eq!(
+            pod_bytes(&[0x0807_0605_0403_0201u64]),
+            &[1, 2, 3, 4, 5, 6, 7, 8]
+        );
     }
 
     #[test]

@@ -5,21 +5,25 @@
 //! owned `Vec`s — an O(index) copy before the first query. v2 instead
 //! lays every array out as its own little-endian section starting on a
 //! 64-byte boundary, so the section layout *is* the in-memory layout of
-//! the view backends in [`crate::storage`]: opening an index is one read
-//! (or an `mmap` with the `mmap` feature on Linux) plus pointer casts —
-//! no per-label work, no per-label allocation.
+//! the view backends in [`crate::storage`]. Opening an index is one read
+//! of the file into one buffer (or an `mmap` with the `mmap` feature on
+//! Linux), one checksum pass over every byte, one O(entries) structural
+//! scan, then pointer casts — no per-label parsing, no per-label
+//! allocation. On an 18 MB index that is ≈ 13 ms: ≈ 9 ms read, ≈ 3 ms
+//! checksum, < 1 ms scan. Writing is the mirror image: the arenas are
+//! checksummed and streamed where they lie, with no file-sized buffer.
 //!
 //! ```text
 //! header   64 bytes
 //!   0   magic          8 bytes   PLLIDX02 | PLLDIDX2 | PLLWIDX2 | PLLWDID2
-//!   8   version        u32       2
+//!   8   version        u32       3 (2 is still read: same layout, FNV-1a checksum)
 //!   12  flags          u32       bit 0: parents stored
 //!   16  n              u64       vertices
 //!   24  t              u64       bit-parallel roots (undirected only)
 //!   32  file_len       u64       total file bytes (truncation check)
 //!   40  section_count  u64
 //!   48  reserved       u64       0
-//!   56  checksum       u64       FNV-1a over bytes [0,56) ++ [64,file_len)
+//!   56  checksum       u64       Wide64 over the file, this field read as 0
 //! stats    128 bytes at offset 64 (persisted ConstructionStats)
 //! table    section_count × 16 bytes at offset 192
 //!   id u32, elem_size u32, byte_offset u64 — elem_count is implied by the
@@ -36,6 +40,7 @@
 //! (v2 files) for any of the four variants.
 
 use crate::bp::{BitParallelLabels, BpEntry};
+use crate::checksum::{Fnv1a, Wide64};
 use crate::directed::{DirectedPllIndex, DirectedPllIndexView};
 use crate::error::{PllError, Result};
 use crate::index::{PllIndex, PllIndexView};
@@ -43,7 +48,9 @@ use crate::kernel::DIST8_ESCAPE;
 use crate::label::LabelSet;
 use crate::serialize::{detect_format_versioned, FormatVersion, IndexFormat};
 use crate::stats::ConstructionStats;
-use crate::storage::{AlignedBytes, Pod, SectionSlice, ViewBp, ViewLabels, SECTION_ALIGN};
+use crate::storage::{
+    pod_bytes, AlignedBytes, Pod, SectionSlice, ViewBp, ViewLabels, SECTION_ALIGN,
+};
 use crate::types::{Dist, Rank, WDist, INF8, RANK_SENTINEL};
 use crate::weighted::{WeightedPllIndex, WeightedPllIndexView};
 use crate::weighted_directed::{WeightedDirectedPllIndex, WeightedDirectedPllIndexView};
@@ -67,13 +74,21 @@ pub const V2_WEIGHTED_MAGIC: &[u8; 8] = b"PLLWIDX2";
 /// v2 magic for the weighted directed index.
 pub const V2_WEIGHTED_DIRECTED_MAGIC: &[u8; 8] = b"PLLWDID2";
 
-const VERSION: u32 = 2;
+/// Header `version` every writer emits: [`Wide64`] whole-file checksum.
+const VERSION: u32 = 3;
+/// Header `version` of files written before the checksum changed: the
+/// same layout under a bytewise FNV-1a checksum. Still opened, never
+/// written.
+const VERSION_FNV: u32 = 2;
+/// Byte offset of the header's checksum field.
+const CHECKSUM_OFFSET: usize = 56;
 const FLAG_PARENTS: u32 = 1;
 /// The weighted index's distance arena is narrowed to `u8` + escape
 /// sidecar (`SEC_DISTS8` + `SEC_ESC_POS`/`SEC_ESC_VAL` replace
 /// `SEC_DISTS32`); see `weighted_dist8`.
 const FLAG_DIST8: u32 = 2;
-const HEADER_LEN: usize = 64;
+/// Byte length of the fixed v2 header.
+pub const HEADER_LEN: usize = 64;
 const STATS_LEN: usize = 128;
 const TABLE_OFFSET: usize = HEADER_LEN + STATS_LEN;
 const TABLE_ENTRY_LEN: usize = 16;
@@ -100,15 +115,78 @@ const SEC_DISTS32_IN: u32 = 15;
 const SEC_ESC_POS: u32 = 16;
 const SEC_ESC_VAL: u32 = 17;
 
-fn fnv1a_parts(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+/// A whole-file checksum as a function of `(head, rest)`: the header up
+/// to its checksum field, and everything after the field.
+type FileChecksum = fn(&[u8], &[u8]) -> u64;
+
+/// Version 3: [`Wide64`] over the file image with the checksum field
+/// read as zero, so every hashed word sits at its file offset.
+fn wide64_file(head: &[u8], rest: &[u8]) -> u64 {
+    let mut h = Wide64::new();
+    h.update(head);
+    h.update(&[0u8; HEADER_LEN - CHECKSUM_OFFSET]);
+    h.update(rest);
+    h.finish()
+}
+
+/// Version 2: bytewise FNV-1a over the file minus the checksum field.
+fn fnv1a_file(head: &[u8], rest: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.update(head);
+    h.update(rest);
+    h.finish()
+}
+
+/// The whole-file checksum a header `version` declares — its name and
+/// its function of `(head, rest)` — or `None` for a version this build
+/// does not read.
+fn checksum_of_version(version: u32) -> Option<(&'static str, FileChecksum)> {
+    match version {
+        VERSION => Some(("wide64", wide64_file)),
+        VERSION_FNV => Some(("fnv1a", fnv1a_file)),
+        _ => None,
     }
-    h
+}
+
+/// What a v2 header declares about the file's checksum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HeaderChecksum {
+    /// Header `version` field (2 or 3).
+    pub version: u32,
+    /// Digest name: `"fnv1a"` (version 2) or `"wide64"` (version 3).
+    pub kind: &'static str,
+    /// The stored checksum, which [`AnyIndex::open`] verifies against
+    /// the whole file.
+    pub value: u64,
+}
+
+/// Reads the checksum declaration off the first [`HEADER_LEN`] bytes of
+/// a file without verifying it; `None` when they are not a v2 header of
+/// a supported version.
+pub fn header_checksum(head: &[u8]) -> Option<HeaderChecksum> {
+    let head: &[u8; HEADER_LEN] = head.get(..HEADER_LEN)?.try_into().ok()?;
+    let magic: &[u8; 8] = head[0..8].try_into().expect("8 bytes");
+    if !matches!(detect_format_versioned(magic), Ok((_, FormatVersion::V2))) {
+        return None;
+    }
+    let version = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
+    let (kind, _) = checksum_of_version(version)?;
+    let value = u64::from_le_bytes(head[CHECKSUM_OFFSET..].try_into().expect("8 bytes"));
+    Some(HeaderChecksum {
+        version,
+        kind,
+        value,
+    })
+}
+
+/// [`header_checksum`] of the file at `path`: one 64-byte read.
+pub fn read_header_checksum(path: &Path) -> Result<Option<HeaderChecksum>> {
+    use std::io::Read;
+    let mut head = Vec::with_capacity(HEADER_LEN);
+    std::fs::File::open(path)?
+        .take(HEADER_LEN as u64)
+        .read_to_end(&mut head)?;
+    Ok(header_checksum(&head))
 }
 
 fn format_err(message: impl Into<String>) -> PllError {
@@ -121,42 +199,80 @@ fn format_err(message: impl Into<String>) -> PllError {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// One section's payload, typed so the writer knows the element size.
+/// One section's payload: an arena the writer hashes and writes where
+/// it lies, never copies.
 enum SecData<'a> {
-    U8(&'a [u8]),
-    U32(&'a [u32]),
-    U64(&'a [u64]),
+    /// A [`Pod`] arena viewed as its little-endian bytes.
+    Pod { elem_size: usize, bytes: &'a [u8] },
+    /// One field of the array-of-structs bit-parallel arena, gathered
+    /// through a small fixed buffer (see the module docs on why the file
+    /// stores it structure-of-arrays).
+    Bp(&'a [BpEntry], BpField),
 }
 
-impl SecData<'_> {
+#[derive(Clone, Copy)]
+enum BpField {
+    Dist,
+    Minus1,
+    Zero,
+}
+
+/// Entries gathered per [`SecData::Bp`] chunk: a 64 KiB stack buffer,
+/// large enough that a `BufWriter<File>` passes each chunk straight to
+/// one `write` call.
+const BP_CHUNK: usize = 8192;
+
+impl<'a> SecData<'a> {
+    fn pod<T: Pod>(arena: &'a [T]) -> SecData<'a> {
+        SecData::Pod {
+            elem_size: T::SIZE,
+            bytes: pod_bytes(arena),
+        }
+    }
     fn elem_size(&self) -> usize {
         match self {
-            SecData::U8(_) => 1,
-            SecData::U32(_) => 4,
-            SecData::U64(_) => 8,
+            SecData::Pod { elem_size, .. } => *elem_size,
+            SecData::Bp(_, BpField::Dist) => 1,
+            SecData::Bp(..) => 8,
         }
     }
     fn byte_len(&self) -> usize {
         match self {
-            SecData::U8(d) => d.len(),
-            SecData::U32(d) => d.len() * 4,
-            SecData::U64(d) => d.len() * 8,
+            SecData::Pod { bytes, .. } => bytes.len(),
+            SecData::Bp(entries, _) => entries.len() * self.elem_size(),
         }
     }
-    fn append_to(&self, out: &mut Vec<u8>) {
-        match self {
-            SecData::U8(d) => out.extend_from_slice(d),
-            SecData::U32(d) => {
-                for &v in *d {
-                    out.extend_from_slice(&v.to_le_bytes());
+    /// Feeds the section's bytes to `sink` in file order.
+    fn emit(&self, sink: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        let (entries, field) = match self {
+            SecData::Pod { bytes, .. } => return sink(bytes),
+            SecData::Bp(entries, field) => (entries, *field),
+        };
+        // One loop body for the three fields: a per-field generic helper
+        // reads better but measured ~1.6x slower on a 13 MB arena.
+        let mut buf = [0u8; BP_CHUNK * 8];
+        for chunk in entries.chunks(BP_CHUNK) {
+            let len = match field {
+                BpField::Dist => {
+                    for (out, e) in buf.iter_mut().zip(chunk) {
+                        *out = e.dist;
+                    }
+                    chunk.len()
                 }
-            }
-            SecData::U64(d) => {
-                for &v in *d {
-                    out.extend_from_slice(&v.to_le_bytes());
+                BpField::Minus1 | BpField::Zero => {
+                    for (out, e) in buf.chunks_exact_mut(8).zip(chunk) {
+                        let mask = match field {
+                            BpField::Minus1 => e.set_minus1,
+                            _ => e.set_zero,
+                        };
+                        out.copy_from_slice(&mask.to_le_bytes());
+                    }
+                    chunk.len() * 8
                 }
-            }
+            };
+            sink(&buf[..len])?;
         }
+        Ok(())
     }
 }
 
@@ -208,6 +324,10 @@ fn parse_stats_block(block: &[u8]) -> ConstructionStats {
 }
 
 /// Writes one v2 container: header + stats + table + aligned sections.
+///
+/// Two passes over the sections where they lie, no file-sized buffer:
+/// one to checksum the image, one to stream it to `writer` behind the
+/// finished header.
 fn write_container<W: Write>(
     mut writer: W,
     magic: &[u8; 8],
@@ -228,50 +348,49 @@ fn write_container<W: Write>(
     }
     let file_len = cursor;
 
-    // Body = everything after the header: stats block, table, sections.
-    let mut body = Vec::with_capacity(file_len - HEADER_LEN);
-    body.extend_from_slice(&stats_block(stats));
+    // Head = header (checksum field still zero) + stats block + table.
+    let mut head = Vec::with_capacity(table_end);
+    head.extend_from_slice(magic);
+    head.extend_from_slice(&VERSION.to_le_bytes());
+    head.extend_from_slice(&flags.to_le_bytes());
+    head.extend_from_slice(&n.to_le_bytes());
+    head.extend_from_slice(&t.to_le_bytes());
+    head.extend_from_slice(&(file_len as u64).to_le_bytes());
+    head.extend_from_slice(&(sections.len() as u64).to_le_bytes());
+    head.extend_from_slice(&[0u8; 16]); // reserved, checksum
+    debug_assert_eq!(head.len(), HEADER_LEN);
+    head.extend_from_slice(&stats_block(stats));
     for ((id, data), off) in sections.iter().zip(&offsets) {
-        body.extend_from_slice(&id.to_le_bytes());
-        body.extend_from_slice(&(data.elem_size() as u32).to_le_bytes());
-        body.extend_from_slice(&(*off as u64).to_le_bytes());
+        head.extend_from_slice(&id.to_le_bytes());
+        head.extend_from_slice(&(data.elem_size() as u32).to_le_bytes());
+        head.extend_from_slice(&(*off as u64).to_le_bytes());
     }
-    for ((_, data), off) in sections.iter().zip(&offsets) {
-        body.resize(off - HEADER_LEN, 0);
-        data.append_to(&mut body);
-    }
-    debug_assert_eq!(body.len(), file_len - HEADER_LEN);
 
-    let mut header = [0u8; HEADER_LEN];
-    header[0..8].copy_from_slice(magic);
-    header[8..12].copy_from_slice(&VERSION.to_le_bytes());
-    header[12..16].copy_from_slice(&flags.to_le_bytes());
-    header[16..24].copy_from_slice(&n.to_le_bytes());
-    header[24..32].copy_from_slice(&t.to_le_bytes());
-    header[32..40].copy_from_slice(&(file_len as u64).to_le_bytes());
-    header[40..48].copy_from_slice(&(sections.len() as u64).to_le_bytes());
-    // bytes 48..56 reserved (zero)
-    let checksum = fnv1a_parts(&[&header[..56], &body]);
-    header[56..64].copy_from_slice(&checksum.to_le_bytes());
+    // Everything after the head, in file order: zero padding up to each
+    // section's offset, then the section.
+    let emit_sections = |sink: &mut dyn FnMut(&[u8]) -> Result<()>| -> Result<()> {
+        let mut pos = table_end;
+        for ((_, data), &off) in sections.iter().zip(&offsets) {
+            sink(&[0u8; SECTION_ALIGN][..off - pos])?;
+            data.emit(sink)?;
+            pos = off + data.byte_len();
+        }
+        Ok(())
+    };
 
-    writer.write_all(&header)?;
-    writer.write_all(&body)?;
+    // With the checksum field zero the head already is its hashed image.
+    let mut digest = Wide64::new();
+    digest.update(&head);
+    emit_sections(&mut |bytes| {
+        digest.update(bytes);
+        Ok(())
+    })?;
+    head[CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&digest.finish().to_le_bytes());
+
+    writer.write_all(&head)?;
+    emit_sections(&mut |bytes| Ok(writer.write_all(bytes)?))?;
     writer.flush()?;
     Ok(())
-}
-
-/// Splits an array-of-structs BP arena into the v2 structure-of-arrays
-/// sections.
-fn bp_soa(entries: &[BpEntry]) -> (Vec<u8>, Vec<u64>, Vec<u64>) {
-    let mut dist = Vec::with_capacity(entries.len());
-    let mut m1 = Vec::with_capacity(entries.len());
-    let mut z = Vec::with_capacity(entries.len());
-    for e in entries {
-        dist.push(e.dist);
-        m1.push(e.set_minus1);
-        z.push(e.set_zero);
-    }
-    (dist, m1, z)
 }
 
 /// Writes an undirected index in the v2 zero-copy format (`PLLIDX02`),
@@ -280,22 +399,21 @@ pub fn save_v2_index<W: Write>(index: &PllIndex, writer: W) -> Result<()> {
     let (order, inv, labels, bp, stats) = index.parts();
     let (offsets, ranks, dists, parents) = labels.as_raw();
     let (bp_roots, bp_entries) = bp.as_raw();
-    let (bp_dist, bp_m1, bp_z) = bp_soa(bp_entries);
     let mut sections = vec![
-        (SEC_ORDER, SecData::U32(order)),
-        (SEC_INV, SecData::U32(inv)),
-        (SEC_OFFSETS, SecData::U32(offsets)),
-        (SEC_RANKS, SecData::U32(ranks)),
-        (SEC_DISTS8, SecData::U8(dists)),
-        (SEC_BP_ROOTS, SecData::U32(bp_roots)),
-        (SEC_BP_DIST, SecData::U8(&bp_dist)),
-        (SEC_BP_M1, SecData::U64(&bp_m1)),
-        (SEC_BP_Z, SecData::U64(&bp_z)),
+        (SEC_ORDER, SecData::pod(order)),
+        (SEC_INV, SecData::pod(inv)),
+        (SEC_OFFSETS, SecData::pod(offsets)),
+        (SEC_RANKS, SecData::pod(ranks)),
+        (SEC_DISTS8, SecData::pod(dists)),
+        (SEC_BP_ROOTS, SecData::pod(bp_roots)),
+        (SEC_BP_DIST, SecData::Bp(bp_entries, BpField::Dist)),
+        (SEC_BP_M1, SecData::Bp(bp_entries, BpField::Minus1)),
+        (SEC_BP_Z, SecData::Bp(bp_entries, BpField::Zero)),
     ];
     let mut flags = 0u32;
     if let Some(parents) = parents {
         flags |= FLAG_PARENTS;
-        sections.push((SEC_PARENTS, SecData::U32(parents)));
+        sections.push((SEC_PARENTS, SecData::pod(parents)));
     }
     write_container(
         writer,
@@ -314,14 +432,14 @@ pub fn save_v2_directed_index<W: Write>(index: &DirectedPllIndex, writer: W) -> 
     let (in_offsets, in_ranks, in_dists, _) = labels_in.as_raw();
     let (out_offsets, out_ranks, out_dists, _) = labels_out.as_raw();
     let sections = [
-        (SEC_ORDER, SecData::U32(order)),
-        (SEC_INV, SecData::U32(inv)),
-        (SEC_OFFSETS_IN, SecData::U32(in_offsets)),
-        (SEC_RANKS_IN, SecData::U32(in_ranks)),
-        (SEC_DISTS8_IN, SecData::U8(in_dists)),
-        (SEC_OFFSETS, SecData::U32(out_offsets)),
-        (SEC_RANKS, SecData::U32(out_ranks)),
-        (SEC_DISTS8, SecData::U8(out_dists)),
+        (SEC_ORDER, SecData::pod(order)),
+        (SEC_INV, SecData::pod(inv)),
+        (SEC_OFFSETS_IN, SecData::pod(in_offsets)),
+        (SEC_RANKS_IN, SecData::pod(in_ranks)),
+        (SEC_DISTS8_IN, SecData::pod(in_dists)),
+        (SEC_OFFSETS, SecData::pod(out_offsets)),
+        (SEC_RANKS, SecData::pod(out_ranks)),
+        (SEC_DISTS8, SecData::pod(out_dists)),
     ];
     write_container(
         writer,
@@ -361,13 +479,13 @@ pub fn save_v2_weighted_index_with<W: Write>(
         .flatten()
     {
         let sections = [
-            (SEC_ORDER, SecData::U32(order)),
-            (SEC_INV, SecData::U32(inv)),
-            (SEC_OFFSETS, SecData::U32(offsets)),
-            (SEC_RANKS, SecData::U32(ranks)),
-            (SEC_DISTS8, SecData::U8(&enc.dists8)),
-            (SEC_ESC_POS, SecData::U32(&enc.esc_pos)),
-            (SEC_ESC_VAL, SecData::U32(&enc.esc_val)),
+            (SEC_ORDER, SecData::pod(order)),
+            (SEC_INV, SecData::pod(inv)),
+            (SEC_OFFSETS, SecData::pod(offsets)),
+            (SEC_RANKS, SecData::pod(ranks)),
+            (SEC_DISTS8, SecData::pod(&enc.dists8)),
+            (SEC_ESC_POS, SecData::pod(&enc.esc_pos)),
+            (SEC_ESC_VAL, SecData::pod(&enc.esc_val)),
         ];
         // The `t` header field (bit-parallel root count elsewhere) holds
         // the sidecar length — section table entries carry no counts.
@@ -382,11 +500,11 @@ pub fn save_v2_weighted_index_with<W: Write>(
         );
     }
     let sections = [
-        (SEC_ORDER, SecData::U32(order)),
-        (SEC_INV, SecData::U32(inv)),
-        (SEC_OFFSETS, SecData::U32(offsets)),
-        (SEC_RANKS, SecData::U32(ranks)),
-        (SEC_DISTS32, SecData::U32(dists)),
+        (SEC_ORDER, SecData::pod(order)),
+        (SEC_INV, SecData::pod(inv)),
+        (SEC_OFFSETS, SecData::pod(offsets)),
+        (SEC_RANKS, SecData::pod(ranks)),
+        (SEC_DISTS32, SecData::pod(dists)),
     ];
     write_container(
         writer,
@@ -409,14 +527,14 @@ pub fn save_v2_weighted_directed_index<W: Write>(
     let (in_offsets, in_ranks, in_dists) = side_in;
     let (out_offsets, out_ranks, out_dists) = side_out;
     let sections = [
-        (SEC_ORDER, SecData::U32(order)),
-        (SEC_INV, SecData::U32(inv)),
-        (SEC_OFFSETS_IN, SecData::U32(in_offsets)),
-        (SEC_RANKS_IN, SecData::U32(in_ranks)),
-        (SEC_DISTS32_IN, SecData::U32(in_dists)),
-        (SEC_OFFSETS, SecData::U32(out_offsets)),
-        (SEC_RANKS, SecData::U32(out_ranks)),
-        (SEC_DISTS32, SecData::U32(out_dists)),
+        (SEC_ORDER, SecData::pod(order)),
+        (SEC_INV, SecData::pod(inv)),
+        (SEC_OFFSETS_IN, SecData::pod(in_offsets)),
+        (SEC_RANKS_IN, SecData::pod(in_ranks)),
+        (SEC_DISTS32_IN, SecData::pod(in_dists)),
+        (SEC_OFFSETS, SecData::pod(out_offsets)),
+        (SEC_RANKS, SecData::pod(out_ranks)),
+        (SEC_DISTS32, SecData::pod(out_dists)),
     ];
     write_container(
         writer,
@@ -467,12 +585,9 @@ impl Container {
         }
         let u32_at = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
         let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-        if u32_at(8) != VERSION {
-            return Err(format_err(format!(
-                "unsupported v2 header version {}",
-                u32_at(8)
-            )));
-        }
+        let version = u32_at(8);
+        let (_, checksum) = checksum_of_version(version)
+            .ok_or_else(|| format_err(format!("unsupported v2 header version {version}")))?;
         let flags = u32_at(12);
         let n = usize::try_from(u64_at(16)).map_err(|_| format_err("vertex count overflows"))?;
         let t = usize::try_from(u64_at(24)).map_err(|_| format_err("root count overflows"))?;
@@ -485,8 +600,7 @@ impl Container {
         }
         let section_count =
             usize::try_from(u64_at(40)).map_err(|_| format_err("section count overflows"))?;
-        let checksum = u64_at(56);
-        if fnv1a_parts(&[&bytes[..56], &bytes[HEADER_LEN..]]) != checksum {
+        if checksum(&bytes[..CHECKSUM_OFFSET], &bytes[HEADER_LEN..]) != u64_at(CHECKSUM_OFFSET) {
             return Err(format_err("checksum mismatch"));
         }
         let table_end = section_count
@@ -841,39 +955,32 @@ macro_rules! with_index {
 }
 
 impl AnyIndex {
-    /// Opens an index file of any format generation and variant, sniffing
-    /// the magic bytes: v1 files parse into owned indices exactly as
-    /// before, v2 files open zero-copy.
+    /// Opens an index file of any format generation and variant: one
+    /// buffer load, then the magic bytes decide — v1 images parse into
+    /// owned indices exactly as before, v2 images open zero-copy.
     pub fn open(path: &Path) -> Result<AnyIndex> {
-        use std::io::Read;
-        let mut file = std::fs::File::open(path)?;
-        let mut magic = [0u8; 8];
-        file.read_exact(&mut magic)
-            .map_err(|_| format_err("file too short to hold an index magic (8 bytes)"))?;
-        let (format, version) = detect_format_versioned(&magic)?;
-        match version {
-            FormatVersion::V2 => {
-                drop(file);
-                open_v2_path(path)
-            }
-            FormatVersion::V1 => {
-                let reader = std::io::BufReader::new(std::fs::File::open(path)?);
-                Ok(match format {
-                    IndexFormat::Undirected => {
-                        AnyIndex::Undirected(crate::serialize::load_index(reader)?)
-                    }
-                    IndexFormat::Directed => {
-                        AnyIndex::Directed(crate::serialize::load_directed_index(reader)?)
-                    }
-                    IndexFormat::Weighted => {
-                        AnyIndex::Weighted(crate::serialize::load_weighted_index(reader)?)
-                    }
-                    IndexFormat::WeightedDirected => AnyIndex::WeightedDirected(
-                        crate::serialize::load_weighted_directed_index(reader)?,
-                    ),
-                })
-            }
+        let buf = AlignedBytes::from_file(path)?;
+        let bytes = buf.as_bytes();
+        let magic: &[u8; 8] = bytes
+            .get(..8)
+            .and_then(|m| m.try_into().ok())
+            .ok_or_else(|| format_err("file too short to hold an index magic (8 bytes)"))?;
+        let (format, version) = detect_format_versioned(magic)?;
+        if version == FormatVersion::V2 {
+            return open_v2_bytes(Arc::new(buf));
         }
+        Ok(match format {
+            IndexFormat::Undirected => AnyIndex::Undirected(crate::serialize::load_index(bytes)?),
+            IndexFormat::Directed => {
+                AnyIndex::Directed(crate::serialize::load_directed_index(bytes)?)
+            }
+            IndexFormat::Weighted => {
+                AnyIndex::Weighted(crate::serialize::load_weighted_index(bytes)?)
+            }
+            IndexFormat::WeightedDirected => {
+                AnyIndex::WeightedDirected(crate::serialize::load_weighted_directed_index(bytes)?)
+            }
+        })
     }
 
     /// Which index family this is.
@@ -1048,6 +1155,66 @@ mod tests {
 
     fn open_bytes(bytes: &[u8]) -> Result<AnyIndex> {
         open_v2_bytes(Arc::new(AlignedBytes::from_bytes(bytes)))
+    }
+
+    /// Recomputes the checksum the image's header version declares, so a
+    /// test can hand-edit an image and still reach the structural checks.
+    fn restamp(buf: &mut [u8]) {
+        let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
+        let (_, checksum) = checksum_of_version(version).unwrap();
+        let sum = checksum(&buf[..CHECKSUM_OFFSET], &buf[HEADER_LEN..]);
+        buf[CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// The image as the previous binary wrote it: header version 2 under
+    /// the FNV-1a checksum, every other byte the same.
+    fn as_version_2(image: &[u8]) -> Vec<u8> {
+        let mut old = image.to_vec();
+        old[8..12].copy_from_slice(&VERSION_FNV.to_le_bytes());
+        restamp(&mut old);
+        old
+    }
+
+    /// One small image per variant (both weighted arena widths), each in
+    /// the version the writer emits and as its version-2 twin.
+    fn images_of_every_variant_and_version(n: u32) -> Vec<(String, Vec<u8>)> {
+        use pll_graph::{wdigraph::WeightedDigraph, wgraph::WeightedGraph};
+        let ring: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+        let chord = |w: u32| -> Vec<(u32, u32, u32)> {
+            let mut e: Vec<_> = ring.iter().map(|&(u, v)| (u, v, w)).collect();
+            e.push((0, n / 2, 2 * w));
+            e
+        };
+        let mut current: Vec<(&str, Vec<u8>)> = Vec::new();
+        let mut save = |name, write: &dyn Fn(&mut Vec<u8>) -> Result<()>| {
+            let mut buf = Vec::new();
+            write(&mut buf).unwrap();
+            current.push((name, buf));
+        };
+        let g = pll_graph::CsrGraph::from_edges(n as usize, &ring).unwrap();
+        let idx = IndexBuilder::new().bit_parallel_roots(2).build(&g).unwrap();
+        save("undirected", &|b| save_v2_index(&idx, b));
+        let dg = pll_graph::CsrDigraph::from_edges(n as usize, &ring).unwrap();
+        let didx = DirectedIndexBuilder::new().build(&dg).unwrap();
+        save("directed", &|b| save_v2_directed_index(&didx, b));
+        let wg = WeightedGraph::from_edges(n as usize, &chord(3)).unwrap();
+        let widx = WeightedIndexBuilder::new().build(&wg).unwrap();
+        save("weighted-dist8", &|b| save_v2_weighted_index(&widx, b));
+        save("weighted-u32", &|b| {
+            save_v2_weighted_index_with(&widx, b, false)
+        });
+        let wdg = WeightedDigraph::from_edges(n as usize, &chord(5)).unwrap();
+        let wdidx = WeightedDirectedIndexBuilder::new().build(&wdg).unwrap();
+        save("weighted-directed", &|b| {
+            save_v2_weighted_directed_index(&wdidx, b)
+        });
+        let mut all = Vec::new();
+        for (name, image) in current {
+            assert_eq!(image[8..12], VERSION.to_le_bytes(), "{name} writes v3");
+            all.push((format!("{name}/version-2"), as_version_2(&image)));
+            all.push((format!("{name}/version-3"), image));
+        }
+        all
     }
 
     #[test]
@@ -1293,32 +1460,66 @@ mod tests {
 
     #[test]
     fn every_truncation_is_a_typed_error() {
-        let g = ba_graph(40);
-        let idx = IndexBuilder::new().bit_parallel_roots(2).build(&g).unwrap();
-        let mut buf = Vec::new();
-        save_v2_index(&idx, &mut buf).unwrap();
         // Truncating at any byte boundary must yield Err, never a panic.
-        for cut in 0..buf.len() {
-            let err = open_bytes(&buf[..cut]);
-            assert!(err.is_err(), "truncation at {cut}/{} accepted", buf.len());
+        for (name, buf) in images_of_every_variant_and_version(24) {
+            assert!(open_bytes(&buf).is_ok(), "{name}");
+            for cut in 0..buf.len() {
+                let err = open_bytes(&buf[..cut]);
+                assert!(err.is_err(), "{name}: cut at {cut}/{} accepted", buf.len());
+            }
         }
     }
 
     #[test]
     fn every_single_byte_flip_is_detected() {
-        let g = gen::path(12).unwrap();
-        let idx = IndexBuilder::new().bit_parallel_roots(1).build(&g).unwrap();
-        let mut buf = Vec::new();
-        save_v2_index(&idx, &mut buf).unwrap();
-        assert!(open_bytes(&buf).is_ok());
-        for pos in 0..buf.len() {
-            let mut corrupt = buf.clone();
-            corrupt[pos] ^= 0x5A;
-            assert!(
-                open_bytes(&corrupt).is_err(),
-                "flip at byte {pos}/{} accepted",
-                buf.len()
-            );
+        for (name, buf) in images_of_every_variant_and_version(12) {
+            assert!(open_bytes(&buf).is_ok(), "{name}");
+            for pos in 0..buf.len() {
+                let mut corrupt = buf.clone();
+                corrupt[pos] ^= 0x5A;
+                assert!(
+                    open_bytes(&corrupt).is_err(),
+                    "{name}: flip at byte {pos}/{} accepted",
+                    buf.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn version_2_images_open_and_answer_like_version_3() {
+        let g = ba_graph(150);
+        let idx = IndexBuilder::new().bit_parallel_roots(3).build(&g).unwrap();
+        let mut new = Vec::new();
+        save_v2_index(&idx, &mut new).unwrap();
+        let old = as_version_2(&new);
+        // The layout is untouched: only `version` and the checksum differ.
+        let differing: Vec<usize> = (0..new.len()).filter(|&i| new[i] != old[i]).collect();
+        assert!(differing
+            .iter()
+            .all(|i| (8..12).contains(i) || (56..64).contains(i)));
+        let (new_hdr, old_hdr) = (header_checksum(&new), header_checksum(&old));
+        assert_eq!(new_hdr.map(|h| (h.version, h.kind)), Some((3, "wide64")));
+        assert_eq!(old_hdr.map(|h| (h.version, h.kind)), Some((2, "fnv1a")));
+        let (new_idx, old_idx) = (open_bytes(&new).unwrap(), open_bytes(&old).unwrap());
+        for s in (0..150u32).step_by(7) {
+            for t in (0..150u32).step_by(11) {
+                assert_eq!(
+                    new_idx.distance(s, t),
+                    old_idx.distance(s, t),
+                    "pair ({s}, {t})"
+                );
+            }
+        }
+        // Any other version is refused by number, before any hashing.
+        let mut future = new;
+        future[8..12].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(header_checksum(&future), None);
+        match open_bytes(&future).unwrap_err() {
+            PllError::Format { message } => {
+                assert_eq!(message, "unsupported v2 header version 4")
+            }
+            other => panic!("expected Format error, got {other}"),
         }
     }
 
@@ -1334,8 +1535,7 @@ mod tests {
         // First table entry's byte_offset field lives at TABLE_OFFSET + 8.
         let pos = TABLE_OFFSET + 8;
         buf[pos..pos + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        let checksum = fnv1a_parts(&[&buf[..56], &buf[HEADER_LEN..]]);
-        buf[56..64].copy_from_slice(&checksum.to_le_bytes());
+        restamp(&mut buf);
         let err = open_bytes(&buf).unwrap_err();
         assert!(matches!(err, PllError::Format { .. }), "got {err}");
     }
@@ -1366,8 +1566,7 @@ mod tests {
         }
         let ranks_off = ranks_off.expect("ranks section present");
         buf[ranks_off..ranks_off + 4].copy_from_slice(&(RANK_SENTINEL - 1).to_le_bytes());
-        let checksum = fnv1a_parts(&[&buf[..56], &buf[HEADER_LEN..]]);
-        buf[56..64].copy_from_slice(&checksum.to_le_bytes());
+        restamp(&mut buf);
         let err = open_bytes(&buf).unwrap_err();
         match err {
             PllError::Format { message } => {
@@ -1386,8 +1585,7 @@ mod tests {
         // Rewriting the magic to the weighted family (and fixing the
         // checksum) must fail on missing sections, not panic.
         buf[0..8].copy_from_slice(V2_WEIGHTED_MAGIC);
-        let checksum = fnv1a_parts(&[&buf[..56], &buf[HEADER_LEN..]]);
-        buf[56..64].copy_from_slice(&checksum.to_le_bytes());
+        restamp(&mut buf);
         assert!(open_bytes(&buf).is_err());
         assert!(open_bytes(b"NOTANIDXatall").is_err());
         assert!(open_bytes(b"").is_err());

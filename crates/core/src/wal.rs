@@ -22,7 +22,7 @@
 //! ```text
 //! header  40 bytes:
 //!   magic             8 bytes  "PLLWAL01"
-//!   fingerprint       u64      FNV-1a of the base index file generation
+//!   fingerprint       u64      [`fingerprint_file`] of the base index generation
 //!   prev_fingerprint  u64      fingerprint of the previous generation
 //!   base_epoch        u64      epoch already folded into the base index
 //!   checksum          u64      FNV-1a of header bytes 0..32
@@ -48,8 +48,10 @@
 //! a typed error because the header and every complete record carry
 //! checksums over fixed spans.
 
+use crate::checksum::{fnv1a, Fnv1a};
 use crate::error::{PllError, Result};
 use crate::types::Vertex;
+use crate::v2;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -88,40 +90,41 @@ fn check_record_edges(count: usize) -> Result<()> {
     Ok(())
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// The fingerprint a v2 header already holds, if its version is ≥ 3.
+fn stamped_fingerprint(header: Option<v2::HeaderChecksum>) -> Option<u64> {
+    header.filter(|h| h.version >= 3).map(|h| h.value)
 }
 
-/// FNV-1a fingerprint of an in-memory byte image (e.g. a serialised index
-/// about to be snapshotted).
+/// WAL fingerprint of an in-memory index image (e.g. a serialised index
+/// about to be snapshotted): what [`fingerprint_file`] returns once the
+/// image is on disk.
+///
+/// For a v2 image of header version ≥ 3 that is the header's whole-file
+/// checksum, read off the header — [`AnyIndex::open`](v2::AnyIndex::open)
+/// verifies it against every byte, so hashing the image again would
+/// only repeat that pass. Every other image (v1, and v2 header version
+/// 2, whose journals predate this rule) keeps the bytewise FNV-1a of
+/// the whole image, so a WAL the previous binary keyed still matches.
 pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    fnv1a(bytes)
+    stamped_fingerprint(v2::header_checksum(bytes)).unwrap_or_else(|| fnv1a(bytes))
 }
 
-/// FNV-1a fingerprint of a file's contents, streamed in chunks.
+/// [`fingerprint_bytes`] of a file's contents: one 64-byte read for a
+/// stamped v2 index, a chunked streaming FNV-1a otherwise.
 pub fn fingerprint_file(path: &Path) -> Result<u64> {
+    if let Some(stamped) = stamped_fingerprint(v2::read_header_checksum(path)?) {
+        return Ok(stamped);
+    }
     let mut file = File::open(path)?;
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv1a::new();
     let mut buf = [0u8; 64 * 1024];
     loop {
         let n = file.read(&mut buf)?;
         if n == 0 {
-            break;
+            return Ok(h.finish());
         }
-        for &b in &buf[..n] {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
+        h.update(&buf[..n]);
     }
-    Ok(h)
 }
 
 /// Writes `bytes` to `path` atomically: the target either keeps its old
@@ -196,7 +199,7 @@ where
 /// Fixed per-file WAL metadata, keying the log to a base index generation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalHeader {
-    /// FNV-1a fingerprint of the index file this WAL journals against.
+    /// [`fingerprint_file`] of the index file this WAL journals against.
     pub fingerprint: u64,
     /// Fingerprint of the previous index generation. During snapshot
     /// compaction the WAL is reset *before* the new index lands, so a crash
@@ -768,6 +771,32 @@ mod tests {
         let data = b"some index image bytes".repeat(1000);
         std::fs::write(&path, &data).unwrap();
         assert_eq!(fingerprint_file(&path).unwrap(), fingerprint_bytes(&data));
+        assert_eq!(fingerprint_bytes(&data), fnv1a(&data));
+        // Shorter than a v2 header, and empty: still the plain FNV.
+        for short in [&data[..10], &data[..0]] {
+            std::fs::write(&path, short).unwrap();
+            assert_eq!(fingerprint_file(&path).unwrap(), fnv1a(short));
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn stamped_v2_index_is_fingerprinted_by_its_header_checksum() {
+        let g = pll_graph::gen::path(30).unwrap();
+        let index = crate::IndexBuilder::new().build(&g).unwrap();
+        let mut image = Vec::new();
+        v2::save_v2_index(&index, &mut image).unwrap();
+        let stamped = u64::from_le_bytes(image[56..64].try_into().unwrap());
+        let path = temp_path("stamped");
+        std::fs::write(&path, &image).unwrap();
+        assert_eq!(fingerprint_bytes(&image), stamped);
+        assert_eq!(fingerprint_file(&path).unwrap(), stamped);
+        // The same index as the previous binary wrote it (header version
+        // 2): the whole-file FNV its WALs are keyed by, not the header.
+        image[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &image).unwrap();
+        assert_eq!(fingerprint_bytes(&image), fnv1a(&image));
+        assert_eq!(fingerprint_file(&path).unwrap(), fnv1a(&image));
         let _ = std::fs::remove_file(&path);
     }
 }

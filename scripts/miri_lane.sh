@@ -4,7 +4,7 @@
 # casts, aliasing violations, out-of-bounds section reads) that tests
 # running on real hardware would silently survive.
 #
-# Scope: the storage / serialize / v2 / wal module unit tests — the code
+# Scope: the checksum / storage / serialize / v2 / wal module unit tests — the code
 # holding every unsafe pointer cast in the workspace — MINUS anything
 # touching mmap (Miri has no mmap; the mmap feature stays off, which is
 # the crate's default). `-Zmiri-disable-isolation` lets the wal/serialize
@@ -25,7 +25,7 @@ fi
 export MIRIFLAGS="-Zmiri-disable-isolation"
 
 # Run module-by-module so a failure names the subsystem in CI output.
-for module in storage serialize v2 wal; do
+for module in checksum storage serialize v2 wal; do
     echo "== miri: pll-core ${module}::tests =="
     cargo +nightly miri test -p pll-core --lib "${module}::tests"
 done

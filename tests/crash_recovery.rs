@@ -18,7 +18,7 @@
 use pll_server::{serve_dynamic, ServeError, ServerConfig, ServerHandle, WalConfig};
 use pruned_landmark_labeling::graph::CsrGraph;
 use pruned_landmark_labeling::pll::wal::{self, WalHeader, WalRecord, WalWriter};
-use pruned_landmark_labeling::pll::{v2, AnyIndex, IndexBuilder, PllError};
+use pruned_landmark_labeling::pll::{checksum, v2, AnyIndex, IndexBuilder, PllError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -61,6 +61,16 @@ fn start(
     wal_path: &Path,
     index_path: &Path,
 ) -> Result<ServerHandle, ServeError> {
+    start_snapshotting(index, graph, wal_path, index_path, 0)
+}
+
+fn start_snapshotting(
+    index: Arc<AnyIndex>,
+    graph: &CsrGraph,
+    wal_path: &Path,
+    index_path: &Path,
+    snapshot_every: u64,
+) -> Result<ServerHandle, ServeError> {
     serve_dynamic(
         index,
         Some(graph),
@@ -70,7 +80,7 @@ fn start(
             wal: Some(WalConfig {
                 wal_path: wal_path.into(),
                 index_path: index_path.into(),
-                snapshot_every: 0,
+                snapshot_every,
             }),
             ..ServerConfig::default()
         },
@@ -252,6 +262,80 @@ fn wrong_index_fingerprint_is_refused() {
         }
         Ok(_) => panic!("a mismatched WAL must refuse to serve"),
         Err(other) => panic!("expected a Dynamic error, got {other:?}"),
+    }
+    let _ = std::fs::remove_file(&index_path);
+    let _ = std::fs::remove_file(&wal_path);
+}
+
+/// Rewrites a v2 image as the previous binary wrote it: header version
+/// 2, checksum = FNV-1a over the file minus the checksum field.
+fn as_version_2(image: &mut [u8]) {
+    image[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let mut h = checksum::Fnv1a::new();
+    h.update(&image[..56]);
+    h.update(&image[64..]);
+    image[56..64].copy_from_slice(&h.finish().to_le_bytes());
+}
+
+#[test]
+fn previous_binary_index_and_wal_recover_and_chain_across_the_first_snapshot() {
+    let index_path = temp_path("legacy.idx");
+    let wal_path = temp_path("legacy.wal");
+    let (g, _) = base_fixture(&index_path);
+
+    // What the previous binary left behind: a version-2 index, and a WAL
+    // keyed by the bytewise FNV-1a of that whole file, holding one batch.
+    let mut old_image = std::fs::read(&index_path).unwrap();
+    as_version_2(&mut old_image);
+    wal::atomic_write(&index_path, &old_image).unwrap();
+    let old_fp = checksum::fnv1a(&old_image);
+    let header = WalHeader {
+        fingerprint: old_fp,
+        prev_fingerprint: old_fp,
+        base_epoch: 0,
+    };
+    let all = chords();
+    let (first, second) = all.split_at(all.len() / 2);
+    let mut writer = WalWriter::create(&wal_path, &header, &[]).unwrap();
+    writer
+        .append(&WalRecord::Update {
+            epoch: 1,
+            edges: first.to_vec(),
+        })
+        .unwrap();
+    drop(writer);
+
+    // The new binary opens the old index, recovers its WAL, takes one
+    // more batch and snapshots on the way down.
+    let open = || Arc::new(AnyIndex::open(&index_path).unwrap());
+    let handle = start_snapshotting(open(), &g, &wal_path, &index_path, 1).unwrap();
+    assert_eq!(handle.recovery().unwrap().replayed_batches, 1);
+    let mut client =
+        pll_server::protocol::Client::connect(&handle.local_addr().to_string()).unwrap();
+    client.update(second).unwrap();
+    client.shutdown_server().unwrap();
+    handle.join();
+
+    // The snapshot is a version-3 file fingerprinted by its own header
+    // checksum, and the new WAL still names the old generation.
+    let new_image = std::fs::read(&index_path).unwrap();
+    let stamped = v2::header_checksum(&new_image).unwrap();
+    assert_eq!((stamped.version, stamped.kind), (3, "wide64"));
+    assert_eq!(wal::fingerprint_file(&index_path).unwrap(), stamped.value);
+    let contents = wal::read_wal(&wal_path).unwrap().unwrap();
+    assert_eq!(contents.header.fingerprint, stamped.value);
+    assert_eq!(contents.header.prev_fingerprint, old_fp);
+
+    // Either generation of the index recovers under that WAL: the new
+    // one, and — a crash between the WAL reset and the index rename —
+    // the old version-2 one, whose missing edges the Rebase restores.
+    for image in [&new_image, &old_image] {
+        wal::atomic_write(&index_path, image).unwrap();
+        let handle = start(open(), &g, &wal_path, &index_path).unwrap();
+        assert_eq!(handle.recovery().unwrap().rebase_edges, all.len() as u64);
+        assert_serves_full_graph(&handle);
+        handle.shutdown();
+        handle.join();
     }
     let _ = std::fs::remove_file(&index_path);
     let _ = std::fs::remove_file(&wal_path);
