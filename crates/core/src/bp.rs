@@ -18,7 +18,12 @@ use crate::types::{Dist, Rank, BP_WIDTH, INF8, INF_QUERY, MAX_DIST};
 use pll_graph::CsrGraph;
 
 /// One bit-parallel label entry: distance from the root plus the two masks.
+///
+/// Packed to the paper's 17 bytes (§5): the owned arena holds `n × t` of
+/// these, and natural alignment would pad each to 24. Fields are read by
+/// value; a reference to a mask would be unaligned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C, packed)]
 pub struct BpEntry {
     /// `d(r, v)`, or [`INF8`] if unreachable.
     pub dist: Dist,
@@ -33,6 +38,8 @@ pub struct BpEntry {
     /// exact upper bounds (see `query`).
     pub set_zero: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<BpEntry>() == 17);
 
 impl BpEntry {
     const UNREACHED: BpEntry = BpEntry {
@@ -119,8 +126,16 @@ impl BitParallelLabels {
         sub: &[Rank],
         scratch: &mut BpScratch,
     ) -> Result<()> {
-        let t = self.num_roots;
         level_sync_bfs(g, root, sub, scratch)?;
+        self.commit_root(i, root, scratch);
+        Ok(())
+    }
+
+    /// Writes the BFS that [`level_sync_bfs`] left in `scratch` into slot
+    /// `i`. Untouched vertices keep their `UNREACHED` entries, and slots
+    /// are disjoint, so commits of different slots commute.
+    pub(crate) fn commit_root(&mut self, i: usize, root: Rank, scratch: &BpScratch) {
+        let t = self.num_roots;
         self.store.roots[i] = root;
         for &v in scratch.visited.iter() {
             self.store.entries[v as usize * t + i] = BpEntry {
@@ -128,18 +143,6 @@ impl BitParallelLabels {
                 set_minus1: scratch.set_minus1[v as usize],
                 set_zero: scratch.set_zero[v as usize],
             };
-        }
-        Ok(())
-    }
-
-    /// Writes one root's sparse column (produced by [`bp_bfs_column`] on a
-    /// worker thread) into arena slot `i`. Untouched vertices keep their
-    /// `UNREACHED` entries.
-    pub(crate) fn set_root_column(&mut self, i: usize, root: Rank, column: &[(Rank, BpEntry)]) {
-        let t = self.num_roots;
-        self.store.roots[i] = root;
-        for &(v, e) in column {
-            self.store.entries[v as usize * t + i] = e;
         }
     }
 
@@ -228,7 +231,7 @@ impl<S: BpStorage> BitParallelLabels<S> {
 
     /// Average per-vertex BP label size measured in *normal-label
     /// equivalents* for the paper's "LN" column: each BP entry covers a root
-    /// plus 64 neighbours but costs 24 bytes ≈ the paper reports it
+    /// plus 64 neighbours but costs 17 bytes; the paper reports it
     /// separately, so we report the raw count `t`.
     pub fn entries_per_vertex(&self) -> usize {
         self.num_roots
@@ -241,10 +244,15 @@ impl<S: BpStorage> BitParallelLabels<S> {
 }
 
 /// The level-synchronous BFS of Algorithm 3, leaving per-vertex distances,
-/// masks and the touched-vertex list in `scratch`. Shared by the in-place
-/// sequential path ([`BitParallelLabels::run_root`]) and the column-wise
-/// parallel path ([`bp_bfs_column`]).
-fn level_sync_bfs(g: &CsrGraph, root: Rank, sub: &[Rank], scratch: &mut BpScratch) -> Result<()> {
+/// masks and the touched-vertex list in `scratch` for
+/// [`BitParallelLabels::commit_root`]. It only touches `scratch`, so the
+/// parallel build runs it on workers that each own a [`BpScratch`].
+pub(crate) fn level_sync_bfs(
+    g: &CsrGraph,
+    root: Rank,
+    sub: &[Rank],
+    scratch: &mut BpScratch,
+) -> Result<()> {
     debug_assert!(sub.len() <= BP_WIDTH);
     scratch.reset();
     let BpScratch {
@@ -307,33 +315,6 @@ fn level_sync_bfs(g: &CsrGraph, root: Rank, sub: &[Rank], scratch: &mut BpScratc
         level += 1;
     }
     Ok(())
-}
-
-/// Runs one bit-parallel BFS into a sparse `(vertex, entry)` column. This
-/// is the thread-friendly entry point: it only touches `scratch`, so each
-/// worker owns a [`BpScratch`] and the main thread commits the columns into
-/// the arena with [`BitParallelLabels::set_root_column`].
-pub(crate) fn bp_bfs_column(
-    g: &CsrGraph,
-    root: Rank,
-    sub: &[Rank],
-    scratch: &mut BpScratch,
-) -> Result<Vec<(Rank, BpEntry)>> {
-    level_sync_bfs(g, root, sub, scratch)?;
-    Ok(scratch
-        .visited
-        .iter()
-        .map(|&v| {
-            (
-                v,
-                BpEntry {
-                    dist: scratch.dist[v as usize],
-                    set_minus1: scratch.set_minus1[v as usize],
-                    set_zero: scratch.set_zero[v as usize],
-                },
-            )
-        })
-        .collect())
 }
 
 /// Selects the `t` bit-parallel roots and their neighbour sets exactly as

@@ -305,7 +305,7 @@ impl IndexBuilder {
                     temp[w as usize] = ld[idx];
                 }
             }
-            let root_bp = bp.entries_of(r).to_vec(); // t is small; copy out
+            let root_bp = bp.entries_of(r);
 
             queue.clear();
             queue.push(r);
@@ -325,7 +325,7 @@ impl IndexBuilder {
                 visited += 1;
 
                 let prune = prune_test(
-                    &root_bp,
+                    root_bp,
                     bp.entries_of(u),
                     &label_ranks[u as usize],
                     &label_dists[u as usize],

@@ -51,6 +51,14 @@
 //! comparators, associative `u64` reductions, disjoint writes), so the
 //! byte-identical guarantee below is preserved end to end.
 //!
+//! The bit-parallel phase fans its `t` BFSs out the same way: each worker
+//! runs `bp::level_sync_bfs` into its own `BpScratch` and commits the slot
+//! straight into the shared arena of 17-byte `BpEntry`s under a lock.
+//! Slots are disjoint, so the arena is identical whatever the commit
+//! order, and no per-root column is ever buffered: the phase peaks at the
+//! arena plus one scratch (17 B per vertex) per worker, as the sequential
+//! build does with one.
+//!
 //! The mechanics above — batching, fan-out, commit discipline — are shared
 //! across variants through the [`PrunedSearch`] trait and the
 //! [`run_batched`] driver; each variant contributes only its relaxed
@@ -99,7 +107,7 @@
 //! [`PllError::WeightedDistanceOverflow`] fires iff the sequential build
 //! fires it.
 
-use crate::bp::{bp_bfs_column, select_bp_roots, BitParallelLabels, BpEntry, BpScratch};
+use crate::bp::{level_sync_bfs, select_bp_roots, BitParallelLabels, BpScratch};
 use crate::build::{prune_test, BuildObserver, IndexBuilder, PartialIndex};
 use crate::error::{PllError, Result};
 use crate::index::PllIndex;
@@ -110,6 +118,7 @@ use crate::types::{Dist, Rank, INF8, MAX_DIST};
 use pll_graph::reorder::{apply_order_threaded, inverse_permutation};
 use pll_graph::CsrGraph;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Number of leading pruned-search roots processed in singleton batches.
@@ -466,10 +475,6 @@ impl DijkstraScratch {
     }
 }
 
-/// One root's sparse bit-parallel column, as produced by
-/// [`bp_bfs_column`] on a worker thread.
-type BpColumn = Vec<(Rank, BpEntry)>;
-
 /// Output of one relaxed pruned BFS: buffered `(vertex, distance)` label
 /// candidates in visit order, plus the visit/prune counters.
 struct RootRun {
@@ -583,53 +588,54 @@ pub(crate) fn build_parallel(
     let mut usd = vec![false; n];
 
     // Phase 1: bit-parallel BFSs. Root/neighbour selection is sequential
-    // (it only manipulates `usd`), the BFSs themselves fan out over the
-    // workers, each with its own BpScratch, and the sparse columns are
-    // committed in slot order so errors surface deterministically.
+    // (it only manipulates `usd`); the BFSs fan out over the workers, each
+    // with its own BpScratch, and each worker commits its slot straight
+    // into the arena under a lock. Slots are disjoint, so commit order
+    // cannot change a byte; the lowest failing slot's error is returned,
+    // exactly the one the sequential build stops at.
     let t1 = Instant::now();
     let t = builder.bp_roots;
     let specs = select_bp_roots(&h, &mut usd, t);
     let mut bp = BitParallelLabels::new(n, t);
     if !specs.is_empty() {
-        let mut columns: Vec<Option<Result<BpColumn>>> = (0..specs.len()).map(|_| None).collect();
         let workers = threads.min(specs.len());
         let cursor = AtomicUsize::new(0);
-        let worker_outputs: Vec<Vec<(usize, Result<BpColumn>)>> = std::thread::scope(|scope| {
-            let cursor = &cursor;
-            let specs = &specs;
-            let h = &h;
+        let arena = Mutex::new(&mut bp);
+        let first_error = std::thread::scope(|scope| {
+            let (cursor, arena, specs, h) = (&cursor, &arena, &specs, &h);
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(move || {
                         let mut scratch = BpScratch::new(n);
-                        let mut out = Vec::new();
                         loop {
                             // ORDERING: Relaxed — work-stealing cursor,
                             // as above; scope join orders the results.
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= specs.len() {
-                                break;
+                            let (root, sub) = specs.get(i)?;
+                            // Slots are claimed in increasing order, so
+                            // every lower slot is already on some worker
+                            // and every later one here would rank higher:
+                            // stop at this worker's first error.
+                            if let Err(e) = level_sync_bfs(h, *root, sub, &mut scratch) {
+                                return Some((i, e));
                             }
-                            let (root, sub) = &specs[i];
-                            out.push((i, bp_bfs_column(h, *root, sub, &mut scratch)));
+                            arena
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .commit_root(i, *root, &scratch);
                         }
-                        out
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|handle| handle.join().expect("bit-parallel worker panicked"))
-                .collect()
+                .filter_map(|handle| handle.join().expect("bit-parallel worker panicked"))
+                .min_by_key(|&(i, _)| i)
         });
-        for (i, result) in worker_outputs.into_iter().flatten() {
-            columns[i] = Some(result);
+        if let Some((_, e)) = first_error {
+            return Err(e);
         }
-        for (i, column) in columns.into_iter().enumerate() {
-            let column = column.expect("every BP slot is claimed by exactly one worker")?;
-            bp.set_root_column(i, specs[i].0, &column);
-            stats.bp_roots_used += 1;
-        }
+        stats.bp_roots_used = specs.len();
     }
     stats.bp_seconds = t1.elapsed().as_secs_f64();
 
@@ -712,7 +718,7 @@ fn relaxed_pruned_bfs(
             ws.temp[w as usize] = ld[idx];
         }
     }
-    let root_bp = bp.entries_of(r).to_vec(); // t is small; copy out
+    let root_bp = bp.entries_of(r);
 
     ws.queue.clear();
     ws.queue.push(r);
@@ -730,7 +736,7 @@ fn relaxed_pruned_bfs(
         visited += 1;
 
         let prune = prune_test(
-            &root_bp,
+            root_bp,
             bp.entries_of(u),
             &label_ranks[u as usize],
             &label_dists[u as usize],

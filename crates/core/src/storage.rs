@@ -451,12 +451,12 @@ impl<D: Pod> LabelStorage for ViewLabels<D> {
 
 /// Storage backend of the bit-parallel label arena.
 ///
-/// The owned backend keeps the array-of-structs `Vec<BpEntry>` the
-/// builders fill in place; the view backend reads the v2 format's
-/// structure-of-arrays sections (`dist` / `set_minus1` / `set_zero`),
-/// which — unlike `BpEntry` with its 7 padding bytes — have a defined
-/// byte-level layout to cast from. [`BpStorage::entry`] assembles the
-/// 17 live bytes either way; the query kernel is identical.
+/// The owned backend keeps the array-of-structs `Vec<BpEntry>` (packed,
+/// 17 bytes per entry) the builders fill in place; the view backend reads
+/// the v2 format's structure-of-arrays sections (`dist` / `set_minus1` /
+/// `set_zero`), whose masks — unlike a packed `BpEntry`'s — are 8-byte
+/// aligned and so can be cast from the file. [`BpStorage::entry`]
+/// assembles the same 17 bytes either way; the query kernel is identical.
 pub trait BpStorage {
     /// Ranks used as BP roots (`u32::MAX` marks an exhausted slot).
     fn roots(&self) -> &[Rank];

@@ -32,8 +32,9 @@
 //! ```
 //!
 //! Unlike v1, the bit-parallel entries are stored structure-of-arrays
-//! (`dist` / `set_minus1` / `set_zero` sections) because `BpEntry` has
-//! padding bytes and therefore no defined byte layout to cast from.
+//! (`dist` / `set_minus1` / `set_zero` sections): the in-memory `BpEntry`
+//! is packed to 17 bytes, so its masks are unaligned and cannot be cast
+//! to `u64` in place, while each section is aligned for a zero-copy view.
 //!
 //! [`AnyIndex`] is the one-stop opener: it sniffs the magic and yields
 //! either an owned index (v1 files, parsed as before) or a zero-copy view

@@ -6,7 +6,7 @@
 //! (the `metrics-hygiene` rule in `pll-audit` flags scalar atomics
 //! declared anywhere else in the server crate): per-worker shards in
 //! [`WorkerMetrics`], process-wide serve counters in [`ServeCounters`],
-//! and the per-vertex cache generations via [`generation_counters`].
+//! and the per-vertex cache generations via `generation_counters`.
 //! Hot paths pay one relaxed `fetch_add` per event; the registry reads
 //! the shards with scrape-time collector closures, so scrapes cost the
 //! scraper, not the request path.
@@ -111,8 +111,8 @@ impl WorkerMetrics {
 
 /// Process-wide serve counters that are not per-worker: the flatten
 /// pipeline, overload shedding, the WAL, and the dynamic apply path.
-/// All written through [`add`] (one relaxed `fetch_add` per event) and
-/// exposed by [`register_server_metrics`].
+/// All written through `add` (one relaxed `fetch_add` per event) and
+/// exposed by `register_server_metrics`.
 #[derive(Debug, Default)]
 pub struct ServeCounters {
     /// Background flatten generations completed (the INFO `flattens`

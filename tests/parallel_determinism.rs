@@ -12,8 +12,8 @@ use pruned_landmark_labeling::graph::reorder::{apply_order, apply_order_threaded
 use pruned_landmark_labeling::graph::{gen, CsrGraph};
 use pruned_landmark_labeling::pll::{
     order::{compute_order, compute_order_threaded},
-    serialize, DirectedIndexBuilder, IndexBuilder, OrderingStrategy, WeightedDirectedIndexBuilder,
-    WeightedIndexBuilder,
+    serialize, DirectedIndexBuilder, IndexBuilder, OrderingStrategy, PllError,
+    WeightedDirectedIndexBuilder, WeightedIndexBuilder,
 };
 
 fn assert_threads_agree(g: &CsrGraph, base: &IndexBuilder, label: &str) {
@@ -357,4 +357,37 @@ fn parallel_serialization_roundtrip_matches_sequential_bytes() {
         seq_bytes, par_bytes,
         "serialised indices must be byte-identical"
     );
+}
+
+#[test]
+fn bit_parallel_phase_errors_are_deterministic() {
+    // Every BP BFS on a 300-vertex path from a vertex near an end runs past
+    // the 8-bit distance ceiling. Several slots fail at once on the
+    // parallel path; it must report the lowest one, as the sequential
+    // build (which stops at the first) does.
+    let g = gen::path(300).unwrap();
+    for t in [1usize, 4] {
+        let errors: Vec<PllError> = [1usize, 2, 4]
+            .iter()
+            .map(|&threads| {
+                IndexBuilder::new()
+                    .bit_parallel_roots(t)
+                    .threads(threads)
+                    .build(&g)
+                    .unwrap_err()
+            })
+            .collect();
+        assert!(
+            matches!(errors[0], PllError::DiameterTooLarge { .. }),
+            "t={t}: unexpected error {:?}",
+            errors[0]
+        );
+        for (e, threads) in errors.iter().zip([1, 2, 4]) {
+            assert_eq!(
+                format!("{e:?}"),
+                format!("{:?}", errors[0]),
+                "t={t}: threads={threads} reported a different error"
+            );
+        }
+    }
 }

@@ -174,18 +174,19 @@ proptest! {
         let bp = idx.bit_parallel();
         for v in 0..g.num_vertices() as u32 {
             for e in bp.entries_of(v) {
+                // `BpEntry` is packed: copy fields out before borrowing.
                 if e.dist == INF8 {
-                    prop_assert_eq!(e.set_minus1, 0);
-                    prop_assert_eq!(e.set_zero, 0);
+                    prop_assert_eq!({ e.set_minus1 }, 0);
+                    prop_assert_eq!({ e.set_zero }, 0);
                 }
             }
         }
         for (i, &root) in bp.roots().iter().enumerate() {
             if root != u32::MAX {
                 let e = bp.entry(root, i);
-                prop_assert_eq!(e.dist, 0);
-                prop_assert_eq!(e.set_minus1, 0);
-                prop_assert_eq!(e.set_zero, 0);
+                prop_assert_eq!({ e.dist }, 0);
+                prop_assert_eq!({ e.set_minus1 }, 0);
+                prop_assert_eq!({ e.set_zero }, 0);
             }
         }
         // The BP query alone is an upper bound on the true distance.

@@ -7,6 +7,9 @@
 //! * writing one allocates **O(sections), not O(file)**: the writer
 //!   hashes and streams the arenas where they lie.
 //!
+//! The same allocator keeps a live-bytes high-water mark, which guards the
+//! peak heap of a parallel build against regressions.
+//!
 //! These tests live in their own integration-test binary and serialise
 //! on [`COUNTER_LOCK`]: any concurrently running test would pollute the
 //! counters.
@@ -19,9 +22,19 @@ use std::sync::{Arc, Mutex};
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 struct CountingAllocator;
+
+/// Adds `grow` and subtracts `shrink` live bytes, raising the high-water
+/// mark if the result tops it.
+fn track_live(grow: usize, shrink: usize) {
+    let live = LIVE_BYTES.fetch_add(grow as u64, Ordering::Relaxed) + grow as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    LIVE_BYTES.fetch_sub(shrink as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards verbatim to `System` with the caller's
 // own layout/pointer arguments, so `System`'s contract is upheld exactly
@@ -33,10 +46,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        track_live(layout.size(), 0);
         // SAFETY: caller guarantees `layout` is valid; forwarded as-is.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track_live(0, layout.size());
         // SAFETY: `ptr` came from this allocator, which is `System` plus
         // a counter, so it satisfies `System::dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
@@ -44,12 +59,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        track_live(new_size, layout.size());
         // SAFETY: same forwarding argument as `dealloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        track_live(layout.size(), 0);
         // SAFETY: same forwarding argument as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -146,5 +163,32 @@ fn saving_a_v2_index_allocates_no_file_sized_buffer() {
         allocated < 1 << 20,
         "writing a {}-byte index allocated {allocated} bytes",
         sink.0
+    );
+}
+
+/// Peak heap of a parallel build above what was live before it. This build
+/// peaks at ~11.2 MB, 5.4 MB of it the n × t × 17-byte bit-parallel arena.
+/// Padding `BpEntry` to 24 bytes would add 2.2 MB and top the bound;
+/// buffering all t per-root BP columns beside the arena until the last
+/// one is committed took the peak to ~23 MB.
+#[test]
+fn parallel_build_peak_heap_stays_bounded() {
+    const PEAK_BOUND: u64 = 12_500_000;
+    let _alone = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let g = gen::chung_lu(20_000, 2.3, 12.0, 1).unwrap();
+    let base = LIVE_BYTES.load(Ordering::SeqCst);
+    PEAK_BYTES.store(base, Ordering::SeqCst);
+    let idx = IndexBuilder::new()
+        .bit_parallel_roots(16)
+        .threads(2)
+        .build(&g)
+        .unwrap();
+    let peak = PEAK_BYTES.load(Ordering::SeqCst) - base;
+    eprintln!("peak heap of the build: {peak} bytes");
+    assert!(idx.distance(0, 0) == Some(0));
+    assert!(
+        peak < PEAK_BOUND,
+        "a threads(2), t=16 build of a 20k-vertex graph peaked at {peak} heap bytes \
+         (bound {PEAK_BOUND})"
     );
 }
