@@ -1,9 +1,10 @@
 //! CI determinism check: for one `(variant, threads)` cell of the
 //! determinism matrix, build each test graph sequentially and with
 //! `--threads k`, serialize both indices, and assert the bytes are
-//! identical. The dev container is single-core, so this binary is the
-//! piece that proves the batch-parallel commit discipline on a machine
-//! with *real* concurrency (the CI runner).
+//! identical. The dev container has two cores, too few to shake out
+//! schedule races, so this binary is the piece that proves the
+//! batch-parallel commit discipline on a machine with more concurrency
+//! (the CI runner).
 //!
 //! ```text
 //! determinism_matrix --variant undirected|directed|weighted|weighted-directed

@@ -19,7 +19,7 @@
 //! comments; `u v` per line for the unweighted formats, `u v w` for the
 //! weighted ones), constructs the requested index variant — `--threads`
 //! selects batch-parallel construction for **every** format, with output
-//! byte-identical to the sequential build — and writes the zero-copy v2
+//! byte-identical to `--threads 1` — and writes the zero-copy v2
 //! format of `pll_core::v2` (construction statistics included). `query`,
 //! `stats`, `bench` and `serve` open any index via
 //! [`pll_core::AnyIndex`]: v1 files parse into owned indices as before,

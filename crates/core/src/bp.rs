@@ -82,7 +82,7 @@ impl<S: BpStorage> Eq for BitParallelLabels<S> {}
 
 impl BitParallelLabels {
     /// Creates empty labels for `n` vertices and `t` roots (all entries
-    /// unreached until [`run_root`](Self::run_root) fills them).
+    /// unreached until [`commit_root`](Self::commit_root) fills them).
     pub(crate) fn new(n: usize, t: usize) -> Self {
         BitParallelLabels {
             num_roots: t,
@@ -109,26 +109,6 @@ impl BitParallelLabels {
     #[inline]
     pub fn entries_of(&self, v: Rank) -> &[BpEntry] {
         &self.store.entries[v as usize * self.num_roots..(v as usize + 1) * self.num_roots]
-    }
-
-    /// Runs the bit-parallel BFS of Algorithm 3 from `root` with neighbour
-    /// set `sub` (each `(position, vertex)` pair assigns a bit), filling
-    /// slot `i` for every vertex. `g` is the rank-relabelled graph.
-    ///
-    /// # Errors
-    ///
-    /// [`PllError::DiameterTooLarge`] if a distance would exceed 254.
-    pub(crate) fn run_root(
-        &mut self,
-        g: &CsrGraph,
-        i: usize,
-        root: Rank,
-        sub: &[Rank],
-        scratch: &mut BpScratch,
-    ) -> Result<()> {
-        level_sync_bfs(g, root, sub, scratch)?;
-        self.commit_root(i, root, scratch);
-        Ok(())
     }
 
     /// Writes the BFS that [`level_sync_bfs`] left in `scratch` into slot
@@ -395,7 +375,8 @@ mod tests {
     fn bp_single_root(g: &CsrGraph, root: Rank, sub: &[Rank]) -> BitParallelLabels {
         let mut bp = BitParallelLabels::new(g.num_vertices(), 1);
         let mut scratch = BpScratch::new(g.num_vertices());
-        bp.run_root(g, 0, root, sub, &mut scratch).unwrap();
+        level_sync_bfs(g, root, sub, &mut scratch).unwrap();
+        bp.commit_root(0, root, &scratch);
         bp
     }
 
@@ -479,9 +460,8 @@ mod tests {
     #[test]
     fn diameter_overflow_detected() {
         let g = gen::path(300).unwrap();
-        let mut bp = BitParallelLabels::new(300, 1);
         let mut scratch = BpScratch::new(300);
-        let err = bp.run_root(&g, 0, 0, &[], &mut scratch).unwrap_err();
+        let err = level_sync_bfs(&g, 0, &[], &mut scratch).unwrap_err();
         assert!(matches!(err, PllError::DiameterTooLarge { .. }));
     }
 

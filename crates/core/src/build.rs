@@ -25,41 +25,51 @@
 //! appended in rank order, and the final arena adds sentinels (§4.5
 //! "Sentinel").
 //!
-//! # Batch-parallel construction
+//! # One search at every thread count
 //!
-//! [`IndexBuilder::threads`] selects the batch-parallel path implemented in
-//! [`crate::par`]: roots are processed in rank-ordered *batches*, each
-//! batch's pruned BFSs run concurrently on worker threads with thread-local
-//! 8-bit tentative/temp scratch (reset lazily, exactly as the sequential
-//! path does), and each BFS buffers its would-be label entries instead of
-//! writing them. At the batch barrier the buffers are committed in rank
-//! order; because an in-batch BFS could not see labels produced by
-//! lower-ranked roots of the *same* batch, a cheap re-prune pass removes
-//! every buffered entry that a same-batch hub certifies, which restores the
-//! canonical labeling. The result is **byte-identical to the sequential
-//! build** — see the determinism argument in [`crate::par`]'s module docs.
-//! The same substrate (via the [`crate::par::PrunedSearch`] trait) powers
-//! the `threads` knob of the directed, weighted and weighted-directed
-//! builders.
+//! The pruned searches run through the driver of [`crate::par`]
+//! ([`crate::par::run_batched`]) at every [`IndexBuilder::threads`] value.
+//! `pruned_bfs` is written once, generic over where its label entries
+//! go. At `threads(1)` every root is its own batch and its search appends
+//! straight to the labels (and to the parent pointers, with
+//! [`IndexBuilder::store_parents`]) — Algorithm 1 itself. At `threads(k)`
+//! the head of the order runs the same way; later roots run in
+//! rank-ordered batches whose searches run concurrently on worker threads
+//! with thread-local 8-bit tentative/temp scratch, each buffering its
+//! would-be entries against the labels committed before the batch. At the
+//! batch barrier the buffers are committed in rank order, and a cheap
+//! re-prune removes every buffered entry that a same-batch hub certifies,
+//! which restores the canonical labeling. The result is **byte-identical
+//! at every thread count** — see the determinism argument in
+//! [`crate::par`]'s module docs. The directed, weighted and
+//! weighted-directed builders use the same driver (via the
+//! [`crate::par::PrunedSearch`] trait).
 //!
 //! The non-search phases honour the same `threads` knob with the same
 //! byte-identical guarantee: the ordering fans out over the workers
 //! ([`crate::order::compute_order_threaded`]), the relabelling translates
 //! disjoint rank chunks in parallel
-//! ([`pll_graph::reorder::apply_order_threaded`]), and the flatten copies
-//! label chunks into the arena from the workers
-//! ([`LabelSet`]`::from_vecs`) — removing the serial prefix/suffix that
-//! would otherwise floor the parallel build's speedup (Amdahl).
+//! ([`pll_graph::reorder::apply_order_threaded`]), the bit-parallel BFSs
+//! run one per worker, and the flatten copies label chunks into the arena
+//! from the workers ([`LabelSet`]`::from_vecs`) — removing the serial
+//! prefix/suffix that would otherwise floor the parallel build's speedup
+//! (Amdahl).
 
-use crate::bp::{select_bp_roots, BitParallelLabels, BpEntry, BpScratch};
+use crate::bp::{level_sync_bfs, select_bp_roots, BitParallelLabels, BpEntry, BpScratch};
 use crate::error::{PllError, Result};
 use crate::index::PllIndex;
 use crate::label::LabelSet;
-use crate::order::{compute_order, OrderingStrategy};
+use crate::order::{compute_order_threaded, OrderingStrategy};
+use crate::par::{
+    commit_entries, resolve_threads, run_batched, BfsScratch, Buffer, InPlace, LabelSink,
+    LabelVecs, Parents, PrunedSearch, RootCommit,
+};
 use crate::stats::{ConstructionStats, RootStats};
 use crate::types::{Dist, Rank, INF8, INF_QUERY, MAX_DIST, RANK_SENTINEL};
-use pll_graph::reorder::{apply_order, inverse_permutation};
+use pll_graph::reorder::{apply_order_threaded, inverse_permutation};
 use pll_graph::{CsrGraph, Vertex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Configures and runs index construction.
@@ -111,26 +121,28 @@ impl IndexBuilder {
         }
     }
 
-    /// Sets the number of worker threads for the batch-parallel
-    /// construction path (see the module docs and [`crate::par`]).
+    /// Sets the number of worker threads for construction (see the module
+    /// docs and [`crate::par`]).
     ///
-    /// * `1` (the default) — the sequential Algorithm 1 path;
-    /// * `k > 1` — batch-parallel construction on `k` threads (clamped to
-    ///   [`crate::par::max_threads`]), producing a [`LabelSet`]
-    ///   byte-identical to the sequential build — successful builds return
+    /// * `1` (the default) — every pruned BFS runs on the calling thread in
+    ///   rank order and appends its entries in place: Algorithm 1;
+    /// * `k > 1` — the same driver, with rank-ordered batches of concurrent
+    ///   searches on `k` threads (clamped to [`crate::par::max_threads`])
+    ///   after a head of one-root batches, producing a [`LabelSet`]
+    ///   byte-identical to `threads(1)` — successful builds return
     ///   identical indices at every thread count;
     /// * `0` — auto-detect: one thread per available CPU.
     ///
     /// Incompatible with [`IndexBuilder::store_parents`]: parent pointers
-    /// depend on BFS queue order, which the parallel path does not
+    /// depend on BFS queue order, which in-batch searches do not
     /// reproduce. (Checked against the requested value, so
     /// `threads(0)` + `store_parents(true)` fails on every host.)
     ///
     /// Two error-path behaviours differ from `threads(1)`, by design:
     /// a multi-threaded build can return [`PllError::DiameterTooLarge`]
-    /// on a graph whose sequential build prunes every search short of the
-    /// 8-bit ceiling (its relaxed in-batch BFSs explore further; such
-    /// graphs need the weighted index either way), and
+    /// on a graph whose single-threaded build prunes every search short
+    /// of the 8-bit ceiling (its relaxed in-batch BFSs explore further;
+    /// such graphs need the weighted index either way), and
     /// [`IndexBuilder::abort_after_seconds`] is checked at batch rather
     /// than per-root granularity.
     pub fn threads(mut self, threads: usize) -> Self {
@@ -180,7 +192,8 @@ impl IndexBuilder {
     }
 
     /// Aborts construction with [`PllError::TimeBudgetExceeded`] once the
-    /// wall clock passes `seconds` (checked between pruned BFSs) — the
+    /// pruned phase's wall clock passes `seconds` (checked after every
+    /// batch of pruned BFSs: every BFS at `threads(1)`) — the
     /// harness's bounded version of the paper's "did not finish in one
     /// day".
     pub fn abort_after_seconds(mut self, seconds: f64) -> Self {
@@ -216,15 +229,12 @@ impl IndexBuilder {
         if self.store_parents && self.threads != 1 {
             return Err(PllError::IncompatibleOptions {
                 message: "store_parents(true) requires threads(1): parent pointers \
-                          depend on BFS queue order, which the parallel path does not \
+                          depend on BFS queue order, which in-batch searches do not \
                           reproduce"
                     .into(),
             });
         }
-        let threads = crate::par::resolve_threads(self.threads);
-        if threads > 1 {
-            return crate::par::build_parallel(self, g, observer, threads);
-        }
+        let threads = resolve_threads(self.threads);
         let n = g.num_vertices();
         if n > u32::MAX as usize - 1 {
             return Err(PllError::Graph(pll_graph::GraphError::TooLarge {
@@ -232,190 +242,292 @@ impl IndexBuilder {
             }));
         }
 
-        // Phase 0: ordering + relabelling (§4.4, §4.5 "Sorting Labels").
+        // Phase 0: ordering + relabelling (§4.4, §4.5 "Sorting Labels"),
+        // fanned out over the workers with output identical at any thread
+        // count.
         let t0 = Instant::now();
-        let order = compute_order(g, &self.ordering, self.seed)?;
+        let order = compute_order_threaded(g, &self.ordering, self.seed, threads)?;
         let order_seconds = t0.elapsed().as_secs_f64();
         let tr = Instant::now();
         let inv = inverse_permutation(&order);
-        let h = apply_order(g, &order)?; // rank-space graph
+        let h = apply_order_threaded(g, &order, threads)?; // rank-space graph
         let relabel_seconds = tr.elapsed().as_secs_f64();
 
         let mut stats = ConstructionStats {
             order_seconds,
             relabel_seconds,
-            threads: 1,
+            threads,
             per_root: self.record_root_stats.then(Vec::new),
             ..Default::default()
         };
 
-        // usd[v]: v is covered as a BP root / BP neighbour / finished pruned
-        // root and must not root another search.
+        // usd[v]: v is covered as a BP root / BP neighbour and must not
+        // root a pruned search.
         let mut usd = vec![false; n];
 
         // Phase 1: bit-parallel BFSs from the highest-priority unused
         // vertices (§5.4).
         let t1 = Instant::now();
-        let t = self.bp_roots;
-        let mut bp = BitParallelLabels::new(n, t);
-        {
-            let mut scratch = BpScratch::new(n);
-            for (i, (root, sub)) in select_bp_roots(&h, &mut usd, t).into_iter().enumerate() {
-                bp.run_root(&h, i, root, &sub, &mut scratch)?;
-                stats.bp_roots_used += 1;
-            }
-        }
+        let (bp, bp_roots_used) = bit_parallel_phase(&h, &mut usd, self.bp_roots, threads)?;
+        stats.bp_roots_used = bp_roots_used;
         stats.bp_seconds = t1.elapsed().as_secs_f64();
 
-        // Phase 2: pruned BFS from every remaining vertex in rank order.
+        // Phase 2: a pruned BFS from every remaining vertex in rank order.
         let t2 = Instant::now();
-        let mut label_ranks: Vec<Vec<Rank>> = vec![Vec::new(); n];
-        let mut label_dists: Vec<Vec<Dist>> = vec![Vec::new(); n];
-        let mut label_parents: Option<Vec<Vec<Rank>>> =
-            self.store_parents.then(|| vec![Vec::new(); n]);
-
-        let mut tentative: Vec<Dist> = vec![INF8; n]; // the P array
-        let mut temp: Vec<Dist> = vec![INF8; n]; // the T array (§4.5 "Querying")
-        let mut parent_of: Vec<Rank> = if self.store_parents {
-            vec![RANK_SENTINEL; n]
-        } else {
-            Vec::new()
-        };
-        let mut queue: Vec<Rank> = Vec::with_capacity(n);
         let label_budget_entries = self.abort_avg_label.map(|b| (b * n as f64).ceil() as u64);
+        let mut state = UndirectedState {
+            labels: LabelVecs::new(n),
+            parents: self.store_parents.then(|| Parents::new(n)),
+        };
+        observer.after_bp_phase(&PartialIndex::new(&state.labels, &bp, &inv));
 
-        {
-            observer.after_bp_phase(&PartialIndex {
-                label_ranks: &label_ranks,
-                label_dists: &label_dists,
-                bp: &bp,
-                inv: &inv,
-            });
-        }
-
-        for r in 0..n as Rank {
-            if usd[r as usize] {
-                continue;
-            }
-            // Prepare the temp array from L(r): T[w] = d(w, r).
-            {
-                let lr = &label_ranks[r as usize];
-                let ld = &label_dists[r as usize];
-                for (idx, &w) in lr.iter().enumerate() {
-                    temp[w as usize] = ld[idx];
+        let roots: Vec<Rank> = (0..n as Rank).filter(|&r| !usd[r as usize]).collect();
+        let search = UndirectedSearch { h: &h, bp: &bp };
+        run_batched(
+            &search,
+            &mut state,
+            &roots,
+            threads,
+            &mut stats,
+            self.abort_seconds,
+            |st, root_stats, stats| {
+                if let Some(per_root) = &mut stats.per_root {
+                    per_root.push(*root_stats);
                 }
-            }
-            let root_bp = bp.entries_of(r);
-
-            queue.clear();
-            queue.push(r);
-            tentative[r as usize] = 0;
-            if self.store_parents {
-                parent_of[r as usize] = RANK_SENTINEL;
-            }
-            let mut head = 0usize;
-            let mut visited = 0u32;
-            let mut labeled = 0u32;
-            let mut pruned = 0u32;
-
-            while head < queue.len() {
-                let u = queue[head];
-                head += 1;
-                let d = tentative[u as usize];
-                visited += 1;
-
-                let prune = prune_test(
-                    root_bp,
-                    bp.entries_of(u),
-                    &label_ranks[u as usize],
-                    &label_dists[u as usize],
-                    &temp,
-                    d,
+                observer.after_root(
+                    stats.pruned_roots,
+                    root_stats,
+                    &PartialIndex::new(&st.labels, &bp, &inv),
                 );
-                if prune {
-                    pruned += 1;
-                    continue;
-                }
-
-                label_ranks[u as usize].push(r);
-                label_dists[u as usize].push(d);
-                if let Some(lp) = &mut label_parents {
-                    lp[u as usize].push(parent_of[u as usize]);
-                }
-                labeled += 1;
-
-                for &w in h.neighbors(u) {
-                    if tentative[w as usize] == INF8 {
-                        if d >= MAX_DIST {
-                            return Err(PllError::DiameterTooLarge { root_rank: r });
-                        }
-                        tentative[w as usize] = d + 1;
-                        if self.store_parents {
-                            parent_of[w as usize] = u;
-                        }
-                        queue.push(w);
+                if let Some(budget) = label_budget_entries {
+                    if stats.total_labeled > budget {
+                        return Err(PllError::LabelBudgetExceeded {
+                            budget: self.abort_avg_label.unwrap_or_default(),
+                        });
                     }
                 }
-            }
-
-            // Lazy reset of the touched entries (§4.5 "Initialization").
-            for &v in &queue {
-                tentative[v as usize] = INF8;
-            }
-            {
-                let lr = &label_ranks[r as usize];
-                for &w in lr.iter() {
-                    temp[w as usize] = INF8;
-                }
-            }
-            usd[r as usize] = true;
-
-            stats.pruned_roots += 1;
-            stats.total_visited += visited as u64;
-            stats.total_labeled += labeled as u64;
-            stats.total_pruned += pruned as u64;
-            let root_stats = RootStats {
-                rank: r,
-                visited,
-                labeled,
-                pruned,
-            };
-            if let Some(per_root) = &mut stats.per_root {
-                per_root.push(root_stats);
-            }
-            observer.after_root(
-                stats.pruned_roots,
-                &root_stats,
-                &PartialIndex {
-                    label_ranks: &label_ranks,
-                    label_dists: &label_dists,
-                    bp: &bp,
-                    inv: &inv,
-                },
-            );
-
-            if let Some(budget) = label_budget_entries {
-                if stats.total_labeled > budget {
-                    return Err(PllError::LabelBudgetExceeded {
-                        budget: self.abort_avg_label.unwrap_or_default(),
-                    });
-                }
-            }
-            if let Some(seconds) = self.abort_seconds {
-                // Only consult the clock every few roots; `Instant::now` per
-                // BFS would be noise but not free.
-                if stats.pruned_roots.is_multiple_of(64) && t2.elapsed().as_secs_f64() > seconds {
-                    return Err(PllError::TimeBudgetExceeded { seconds });
-                }
-            }
-        }
+                Ok(())
+            },
+        )?;
         stats.pruned_seconds = t2.elapsed().as_secs_f64();
 
         let tf = Instant::now();
-        let labels = LabelSet::from_vecs(&label_ranks, &label_dists, label_parents.as_deref(), 1)?;
+        let labels = LabelSet::from_vecs(
+            &state.labels.ranks,
+            &state.labels.dists,
+            state.parents.as_ref().map(|p| &p.labels[..]),
+            threads,
+        )?;
         stats.flatten_seconds = tf.elapsed().as_secs_f64();
         Ok(PllIndex::from_parts(order, inv, labels, bp, stats))
     }
+}
+
+/// The bit-parallel phase (§5.4): selects up to `t` roots (marking them and
+/// their absorbed neighbours in `usd`) and runs their BFSs, returning the
+/// labels and the number of roots used.
+///
+/// Root/neighbour selection is sequential (it only manipulates `usd`); the
+/// BFSs fan out over `threads` workers, each with its own [`BpScratch`],
+/// and each worker commits its slot straight into the arena under a lock.
+/// Slots are disjoint, so commit order cannot change a byte; the lowest
+/// failing slot's error is returned, the one a single worker stops at. One
+/// worker runs on the calling thread.
+fn bit_parallel_phase(
+    h: &CsrGraph,
+    usd: &mut [bool],
+    t: usize,
+    threads: usize,
+) -> Result<(BitParallelLabels, usize)> {
+    let n = h.num_vertices();
+    let specs = select_bp_roots(h, usd, t);
+    let mut bp = BitParallelLabels::new(n, t);
+    let workers = threads.min(specs.len());
+    let cursor = AtomicUsize::new(0);
+    let arena = Mutex::new(&mut bp);
+    let worker = || {
+        let mut scratch = BpScratch::new(n);
+        loop {
+            // ORDERING: Relaxed — work-stealing cursor; the scope join
+            // orders the results.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let (root, sub) = specs.get(i)?;
+            // Slots are claimed in increasing order, so every lower slot
+            // is already on some worker and every later one here would
+            // rank higher: stop at this worker's first error.
+            if let Err(e) = level_sync_bfs(h, *root, sub, &mut scratch) {
+                return Some((i, e));
+            }
+            arena
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .commit_root(i, *root, &scratch);
+        }
+    };
+    let first_error = match workers {
+        0 => None,
+        1 => worker(),
+        _ => std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .filter_map(|handle| handle.join().expect("bit-parallel worker panicked"))
+                .min_by_key(|&(i, _)| i)
+        }),
+    };
+    if let Some((_, e)) = first_error {
+        return Err(e);
+    }
+    Ok((bp, specs.len()))
+}
+
+/// Label state of the undirected build: one label side, plus parent
+/// pointers when [`IndexBuilder::store_parents`] is set.
+struct UndirectedState {
+    labels: LabelVecs<Dist>,
+    parents: Option<Parents>,
+}
+
+/// Buffered output of one relaxed pruned BFS: `(vertex, distance)` label
+/// candidates in visit order, plus the visit/prune counters.
+struct UndirectedRun {
+    entries: Vec<(Rank, Dist)>,
+    visited: u32,
+    pruned: u32,
+}
+
+/// The undirected unweighted [`PrunedSearch`]: one pruned BFS per root,
+/// pruning against the labels and the fixed bit-parallel labels.
+struct UndirectedSearch<'g> {
+    h: &'g CsrGraph,
+    bp: &'g BitParallelLabels,
+}
+
+impl PrunedSearch for UndirectedSearch<'_> {
+    type State = UndirectedState;
+    type Scratch = BfsScratch;
+    type Run = UndirectedRun;
+
+    fn new_scratch(&self) -> BfsScratch {
+        BfsScratch::new(self.h.num_vertices())
+    }
+
+    fn search_in_place(
+        &self,
+        state: &mut UndirectedState,
+        r: Rank,
+        ws: &mut BfsScratch,
+    ) -> Result<RootCommit> {
+        let mut sink = InPlace::new(r, &mut state.labels).with_parents(state.parents.as_mut());
+        let (visited, pruned) = pruned_bfs(self.h, self.bp, r, ws, &mut sink)?;
+        Ok(RootCommit::new(r, visited, pruned, 0))
+    }
+
+    fn search(
+        &self,
+        state: &UndirectedState,
+        r: Rank,
+        ws: &mut BfsScratch,
+    ) -> Result<UndirectedRun> {
+        let mut sink = Buffer::new(&state.labels);
+        let (visited, pruned) = pruned_bfs(self.h, self.bp, r, ws, &mut sink)?;
+        Ok(UndirectedRun {
+            entries: sink.entries,
+            visited,
+            pruned,
+        })
+    }
+
+    fn commit(
+        &self,
+        state: &mut UndirectedState,
+        batch_first: Rank,
+        r: Rank,
+        run: UndirectedRun,
+    ) -> Result<RootCommit> {
+        let mut repruned = 0u32;
+        let mut sink = InPlace::new(r, &mut state.labels);
+        commit_entries(&run.entries, &mut sink, None, batch_first, &mut repruned)?;
+        Ok(RootCommit::new(r, run.visited, run.pruned, repruned))
+    }
+}
+
+/// The pruned BFS of Algorithm 1 from `r`, returning its `(visited,
+/// pruned)` counts. Labels are read and written through `sink`: in place
+/// for a one-root batch, buffered against the committed labels for an
+/// in-batch relaxed search. The prune test is [`prune_test`] with the
+/// temp array of §4.5 "Querying", and the scratch is reset lazily (§4.5
+/// "Initialization") — also on the error path, since it is reused for the
+/// next root.
+fn pruned_bfs<K: LabelSink<Dist, Dist>>(
+    h: &CsrGraph,
+    bp: &BitParallelLabels,
+    r: Rank,
+    ws: &mut BfsScratch,
+    sink: &mut K,
+) -> Result<(u32, u32)> {
+    // Slices, not the scratch's `Vec`s: the hot loops then index through
+    // pointers held in registers instead of reloading each `Vec` after
+    // the queue's growth calls.
+    let BfsScratch {
+        tentative,
+        temp,
+        queue,
+    } = ws;
+    let (tentative, temp) = (&mut tentative[..], &mut temp[..]);
+
+    // Prepare the temp array from L(r): T[w] = d(w, r).
+    let (lr, ld) = sink.label(r);
+    for (&w, &d) in lr.iter().zip(ld) {
+        temp[w as usize] = d;
+    }
+    let root_bp = bp.entries_of(r);
+
+    queue.clear();
+    queue.push(r);
+    tentative[r as usize] = 0;
+    sink.reach(r, RANK_SENTINEL);
+    let mut head = 0usize;
+    let mut visited = 0u32;
+    let mut pruned = 0u32;
+    let mut outcome = Ok(());
+
+    'bfs: while head < queue.len() {
+        let u = queue[head];
+        head += 1;
+        let d = tentative[u as usize];
+        visited += 1;
+
+        let (ur, ud) = sink.label(u);
+        if prune_test(root_bp, bp.entries_of(u), ur, ud, temp, d) {
+            pruned += 1;
+            continue;
+        }
+        if let Err(e) = sink.emit(u, d) {
+            outcome = Err(e);
+            break;
+        }
+
+        for &w in h.neighbors(u) {
+            if tentative[w as usize] == INF8 {
+                if d >= MAX_DIST {
+                    outcome = Err(PllError::DiameterTooLarge { root_rank: r });
+                    break 'bfs;
+                }
+                tentative[w as usize] = d + 1;
+                sink.reach(w, u);
+                queue.push(w);
+            }
+        }
+    }
+
+    for &v in queue.iter() {
+        tentative[v as usize] = INF8;
+    }
+    for &w in sink.label(r).0 {
+        temp[w as usize] = INF8;
+    }
+    outcome.map(|()| (visited, pruned))
 }
 
 /// The pruning test of Algorithm 1 line 7 for a visit of `u` at distance
@@ -423,12 +535,8 @@ impl IndexBuilder {
 /// `root_bp`/`u_bp` are the root's and `u`'s BP entries, with the
 /// δ̃−2 / δ̃−1 / δ̃ case analysis of §5.3 — then against normal labels via
 /// the temp array (`temp[w] = d(w, root)`, §4.5 "Querying").
-///
-/// Shared verbatim by the sequential loop and the batch-parallel path in
-/// [`crate::par`]: the parallel build's byte-identical-output contract
-/// depends on both paths pruning with exactly this predicate.
 #[inline]
-pub(crate) fn prune_test(
+fn prune_test(
     root_bp: &[BpEntry],
     u_bp: &[BpEntry],
     u_label_ranks: &[Rank],
@@ -486,7 +594,16 @@ pub struct PartialIndex<'a> {
     pub(crate) inv: &'a [Vertex],
 }
 
-impl PartialIndex<'_> {
+impl<'a> PartialIndex<'a> {
+    fn new(labels: &'a LabelVecs<Dist>, bp: &'a BitParallelLabels, inv: &'a [Vertex]) -> Self {
+        PartialIndex {
+            label_ranks: &labels.ranks,
+            label_dists: &labels.dists,
+            bp,
+            inv,
+        }
+    }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.label_ranks.len()

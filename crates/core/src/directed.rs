@@ -6,21 +6,26 @@
 //! out-edges (filling `L_IN` of reached vertices) and one over in-edges
 //! (filling `L_OUT`) — pruning each against the labels accumulated so far.
 //!
-//! [`DirectedIndexBuilder::threads`] selects the batch-parallel path: each
-//! worker runs a root's forward/backward relaxed BFS *pair* against the
-//! committed two-sided label state, and the batch barrier commits both
-//! sides in rank order (IN entries before OUT entries, matching the
-//! sequential forward-then-backward order), re-pruning each entry against
-//! the same-batch hubs its search could not see. The result is
-//! byte-identical to the sequential build; see [`crate::par`].
+//! Both searches of a root run through the driver of [`crate::par`] at
+//! every thread count, written once and generic over where their label
+//! entries go. At [`DirectedIndexBuilder::threads`]`(1)` each root's
+//! forward/backward BFS pair appends straight to the two label sides (the
+//! backward BFS sees the forward BFS's entries). At `k > 1` threads,
+//! batches of roots run their pairs concurrently against the committed
+//! two-sided label state, and the batch barrier commits both sides in
+//! rank order (IN entries before OUT entries, matching the
+//! forward-then-backward order), re-pruning each entry against the
+//! same-batch hubs its search could not see. The result is byte-identical
+//! at every thread count; see [`crate::par`].
 
 use crate::error::{PllError, Result};
 use crate::label::{merge_query, LabelSet};
 use crate::order::OrderingStrategy;
 use crate::par::{
-    commit_entries, resolve_threads, run_batched, BfsScratch, PrunedSearch, RootCommit,
+    commit_entries, resolve_threads, run_batched, BfsScratch, Buffer, InPlace, LabelSink,
+    LabelVecs, PrunedSearch, RootCommit,
 };
-use crate::stats::{ConstructionStats, RootStats};
+use crate::stats::ConstructionStats;
 use crate::storage::{LabelStorage, OwnedLabels, SectionSlice, ViewLabels};
 use crate::types::{Dist, Rank, Vertex, INF8, INF_QUERY, MAX_DIST};
 use pll_graph::reorder::inverse_permutation;
@@ -51,16 +56,16 @@ impl DirectedIndexBuilder {
         }
     }
 
-    /// Sets the number of worker threads for batch-parallel construction
-    /// (see [`crate::par`]): `1` (default) is the sequential §6 path,
-    /// `k > 1` runs the forward/backward pruned BFS pairs batch-parallel
-    /// on `k` threads with a `LabelSet` pair byte-identical to the
-    /// sequential build, and `0` auto-detects one thread per CPU. The
-    /// Degree ordering and the label flatten ride the same knob,
-    /// output-identically at any thread count. As with
-    /// the undirected path, a multi-threaded build may surface
-    /// [`PllError::DiameterTooLarge`] on a graph whose sequential build
-    /// prunes every search short of the 8-bit ceiling.
+    /// Sets the number of worker threads for construction (see
+    /// [`crate::par`]): `1` (default) runs each root's forward/backward
+    /// pruned BFS pair on the calling thread in rank order (§6), `k > 1`
+    /// runs batches of those pairs concurrently on `k` threads with a
+    /// `LabelSet` pair byte-identical to `threads(1)`, and `0` auto-detects
+    /// one thread per CPU. The Degree ordering and the label flatten ride
+    /// the same knob, output-identically at any thread count. As with the
+    /// undirected builder, a multi-threaded build may surface
+    /// [`PllError::DiameterTooLarge`] on a graph whose single-threaded
+    /// build prunes every search short of the 8-bit ceiling.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -143,158 +148,26 @@ impl DirectedIndexBuilder {
             threads,
             ..Default::default()
         };
-        if threads > 1 {
-            let mut state = DirectedState {
-                in_ranks: vec![Vec::new(); n],
-                in_dists: vec![Vec::new(); n],
-                out_ranks: vec![Vec::new(); n],
-                out_dists: vec![Vec::new(); n],
-            };
-            let roots: Vec<Rank> = (0..n as Rank).collect();
-            let search = DirectedSearch { h: &h };
-            run_batched(
-                &search,
-                &mut state,
-                &roots,
-                threads,
-                &mut stats,
-                None,
-                |_, _, _| Ok(()),
-            )?;
-            stats.pruned_seconds = t1.elapsed().as_secs_f64();
-            let tf = Instant::now();
-            let labels_in = LabelSet::from_vecs(&state.in_ranks, &state.in_dists, None, threads)?;
-            let labels_out =
-                LabelSet::from_vecs(&state.out_ranks, &state.out_dists, None, threads)?;
-            stats.flatten_seconds = tf.elapsed().as_secs_f64();
-            return Ok(DirectedPllIndex {
-                order,
-                inv,
-                labels_in,
-                labels_out,
-                stats,
-            });
-        }
-
-        let mut in_ranks: Vec<Vec<Rank>> = vec![Vec::new(); n];
-        let mut in_dists: Vec<Vec<Dist>> = vec![Vec::new(); n];
-        let mut out_ranks: Vec<Vec<Rank>> = vec![Vec::new(); n];
-        let mut out_dists: Vec<Vec<Dist>> = vec![Vec::new(); n];
-
-        let mut tentative: Vec<Dist> = vec![INF8; n];
-        let mut temp: Vec<Dist> = vec![INF8; n];
-        let mut queue: Vec<Rank> = Vec::with_capacity(n);
-
-        // One pruned BFS in a fixed direction. `forward = true` explores
-        // out-edges from the root: it computes d(r, u) and labels L_IN(u);
-        // the pruning query is min over L_OUT(r) ∩ L_IN(u). `forward =
-        // false` mirrors everything.
-        #[allow(clippy::too_many_arguments)]
-        fn pruned_bfs(
-            h: &CsrDigraph,
-            r: Rank,
-            forward: bool,
-            root_side_ranks: &[Vec<Rank>],
-            root_side_dists: &[Vec<Dist>],
-            fill_ranks: &mut [Vec<Rank>],
-            fill_dists: &mut [Vec<Dist>],
-            tentative: &mut [Dist],
-            temp: &mut [Dist],
-            queue: &mut Vec<Rank>,
-            stats: &mut ConstructionStats,
-        ) -> Result<()> {
-            // temp[w] = distance between w and r on the root's side.
-            for (idx, &w) in root_side_ranks[r as usize].iter().enumerate() {
-                temp[w as usize] = root_side_dists[r as usize][idx];
-            }
-            queue.clear();
-            queue.push(r);
-            tentative[r as usize] = 0;
-            let mut head = 0usize;
-            while head < queue.len() {
-                let u = queue[head];
-                head += 1;
-                let d = tentative[u as usize];
-                stats.total_visited += 1;
-
-                let mut prune = false;
-                let lr = &fill_ranks[u as usize];
-                let ld = &fill_dists[u as usize];
-                for (idx, &w) in lr.iter().enumerate() {
-                    let tw = temp[w as usize];
-                    if tw != INF8 && tw as u32 + ld[idx] as u32 <= d as u32 {
-                        prune = true;
-                        break;
-                    }
-                }
-                if prune {
-                    stats.total_pruned += 1;
-                    continue;
-                }
-                fill_ranks[u as usize].push(r);
-                fill_dists[u as usize].push(d);
-                stats.total_labeled += 1;
-
-                let neighbors = if forward {
-                    h.out_neighbors(u)
-                } else {
-                    h.in_neighbors(u)
-                };
-                for &w in neighbors {
-                    if tentative[w as usize] == INF8 {
-                        if d >= MAX_DIST {
-                            return Err(PllError::DiameterTooLarge { root_rank: r });
-                        }
-                        tentative[w as usize] = d + 1;
-                        queue.push(w);
-                    }
-                }
-            }
-            for &v in queue.iter() {
-                tentative[v as usize] = INF8;
-            }
-            for &w in root_side_ranks[r as usize].iter() {
-                temp[w as usize] = INF8;
-            }
-            Ok(())
-        }
-
-        for r in 0..n as Rank {
-            // Forward: fills L_IN, prunes against L_OUT(r) ∩ L_IN(u).
-            pruned_bfs(
-                &h,
-                r,
-                true,
-                &out_ranks,
-                &out_dists,
-                &mut in_ranks,
-                &mut in_dists,
-                &mut tentative,
-                &mut temp,
-                &mut queue,
-                &mut stats,
-            )?;
-            // Backward: fills L_OUT, prunes against L_IN(r) ∩ L_OUT(u).
-            pruned_bfs(
-                &h,
-                r,
-                false,
-                &in_ranks,
-                &in_dists,
-                &mut out_ranks,
-                &mut out_dists,
-                &mut tentative,
-                &mut temp,
-                &mut queue,
-                &mut stats,
-            )?;
-            stats.pruned_roots += 1;
-        }
+        let mut state = DirectedState {
+            inn: LabelVecs::new(n),
+            out: LabelVecs::new(n),
+        };
+        let roots: Vec<Rank> = (0..n as Rank).collect();
+        let search = DirectedSearch { h: &h };
+        run_batched(
+            &search,
+            &mut state,
+            &roots,
+            threads,
+            &mut stats,
+            None,
+            |_, _, _| Ok(()),
+        )?;
         stats.pruned_seconds = t1.elapsed().as_secs_f64();
 
         let tf = Instant::now();
-        let labels_in = LabelSet::from_vecs(&in_ranks, &in_dists, None, 1)?;
-        let labels_out = LabelSet::from_vecs(&out_ranks, &out_dists, None, 1)?;
+        let labels_in = LabelSet::from_vecs(&state.inn.ranks, &state.inn.dists, None, threads)?;
+        let labels_out = LabelSet::from_vecs(&state.out.ranks, &state.out.dists, None, threads)?;
         stats.flatten_seconds = tf.elapsed().as_secs_f64();
         Ok(DirectedPllIndex {
             order,
@@ -306,12 +179,12 @@ impl DirectedIndexBuilder {
     }
 }
 
-/// Committed two-sided label state of the batch-parallel directed build.
+/// Two-sided label state of the directed build.
 struct DirectedState {
-    in_ranks: Vec<Vec<Rank>>,
-    in_dists: Vec<Vec<Dist>>,
-    out_ranks: Vec<Vec<Rank>>,
-    out_dists: Vec<Vec<Dist>>,
+    /// `L_IN`: hubs `w` with `d(w → v)`, filled by forward searches.
+    inn: LabelVecs<Dist>,
+    /// `L_OUT`: hubs `w` with `d(v → w)`, filled by backward searches.
+    out: LabelVecs<Dist>,
 }
 
 /// Buffered output of one root's forward/backward relaxed BFS pair.
@@ -324,9 +197,9 @@ struct DirectedRun {
     pruned: u32,
 }
 
-/// The directed [`PrunedSearch`]: per root, a forward relaxed pruned BFS
-/// over out-arcs (buffering `L_IN` candidates, pruning against
-/// `L_OUT(r) ∩ L_IN(u)`) followed by the mirrored backward BFS.
+/// The directed [`PrunedSearch`]: per root, a forward pruned BFS over
+/// out-arcs (filling `L_IN`, pruning against `L_OUT(r) ∩ L_IN(u)`)
+/// followed by the mirrored backward BFS.
 struct DirectedSearch<'g> {
     h: &'g CsrDigraph,
 }
@@ -340,40 +213,30 @@ impl PrunedSearch for DirectedSearch<'_> {
         BfsScratch::new(self.h.num_vertices())
     }
 
+    fn search_in_place(
+        &self,
+        state: &mut DirectedState,
+        r: Rank,
+        ws: &mut BfsScratch,
+    ) -> Result<RootCommit> {
+        let mut sink = InPlace::new(r, &mut state.inn);
+        let (vf, pf) = pruned_bfs(self.h, r, true, &state.out, ws, &mut sink)?;
+        let mut sink = InPlace::new(r, &mut state.out);
+        let (vb, pb) = pruned_bfs(self.h, r, false, &state.inn, ws, &mut sink)?;
+        Ok(RootCommit::new(r, vf + vb, pf + pb, 0))
+    }
+
     fn search(&self, state: &DirectedState, r: Rank, ws: &mut BfsScratch) -> Result<DirectedRun> {
-        let mut run = DirectedRun {
-            in_entries: Vec::new(),
-            out_entries: Vec::new(),
-            visited: 0,
-            pruned: 0,
-        };
-        relaxed_directed_bfs(
-            self.h,
-            r,
-            true,
-            &state.out_ranks,
-            &state.out_dists,
-            &state.in_ranks,
-            &state.in_dists,
-            ws,
-            &mut run.in_entries,
-            &mut run.visited,
-            &mut run.pruned,
-        )?;
-        relaxed_directed_bfs(
-            self.h,
-            r,
-            false,
-            &state.in_ranks,
-            &state.in_dists,
-            &state.out_ranks,
-            &state.out_dists,
-            ws,
-            &mut run.out_entries,
-            &mut run.visited,
-            &mut run.pruned,
-        )?;
-        Ok(run)
+        let mut fwd = Buffer::new(&state.inn);
+        let (vf, pf) = pruned_bfs(self.h, r, true, &state.out, ws, &mut fwd)?;
+        let mut bwd = Buffer::new(&state.out);
+        let (vb, pb) = pruned_bfs(self.h, r, false, &state.inn, ws, &mut bwd)?;
+        Ok(DirectedRun {
+            in_entries: fwd.entries,
+            out_entries: bwd.entries,
+            visited: vf + vb,
+            pruned: pf + pb,
+        })
     }
 
     fn commit(
@@ -383,96 +246,78 @@ impl PrunedSearch for DirectedSearch<'_> {
         r: Rank,
         run: DirectedRun,
     ) -> Result<RootCommit> {
-        let mut labeled = 0u32;
         let mut repruned = 0u32;
-        // IN entries first, then OUT — the sequential forward BFS fully
+        // IN entries first, then OUT — the in-place forward BFS fully
         // commits before the backward BFS starts. A forward entry
         // `(r, u, d(r→u))` is certified by a same-batch hub
         // `x ∈ L_OUT(r) ∩ L_IN(u)` with `d(r→x) + d(x→u) ≤ d`; the
         // backward side mirrors it.
+        let mut sink = InPlace::new(r, &mut state.inn);
         commit_entries(
             &run.in_entries,
-            &mut state.in_ranks,
-            &mut state.in_dists,
-            Some((&state.out_ranks, &state.out_dists)),
+            &mut sink,
+            Some(&state.out),
             batch_first,
-            r,
-            |d| Ok(d as Dist),
-            &mut labeled,
             &mut repruned,
         )?;
+        let mut sink = InPlace::new(r, &mut state.out);
         commit_entries(
             &run.out_entries,
-            &mut state.out_ranks,
-            &mut state.out_dists,
-            Some((&state.in_ranks, &state.in_dists)),
+            &mut sink,
+            Some(&state.inn),
             batch_first,
-            r,
-            |d| Ok(d as Dist),
-            &mut labeled,
             &mut repruned,
         )?;
-        Ok(RootCommit {
-            stats: RootStats {
-                rank: r,
-                visited: run.visited,
-                labeled,
-                pruned: run.pruned + repruned,
-            },
-            repruned,
-        })
+        Ok(RootCommit::new(r, run.visited, run.pruned, repruned))
     }
 }
 
-/// One relaxed pruned BFS in a fixed direction, buffering label
-/// candidates instead of publishing them. Mirrors the sequential
-/// `pruned_bfs` exactly (same temp preparation, prune test and lazy
-/// resets); `forward = true` explores out-arcs and buffers `L_IN`
-/// candidates.
-#[allow(clippy::too_many_arguments)]
-fn relaxed_directed_bfs(
+/// One pruned BFS from `r` in a fixed direction. `forward = true` explores
+/// out-arcs: it computes `d(r, u)` and labels `L_IN(u)` through `sink`,
+/// pruning against `root_side` = `L_OUT(r)` ∩ `L_IN(u)`; `forward = false`
+/// mirrors everything. Returns its `(visited, pruned)` counts. The temp
+/// array and lazy resets are those of the undirected search (§4.5); the
+/// scratch is reset on the error path too, since it is reused.
+fn pruned_bfs<K: LabelSink<Dist, Dist>>(
     h: &CsrDigraph,
     r: Rank,
     forward: bool,
-    root_side_ranks: &[Vec<Rank>],
-    root_side_dists: &[Vec<Dist>],
-    fill_ranks: &[Vec<Rank>],
-    fill_dists: &[Vec<Dist>],
+    root_side: &LabelVecs<Dist>,
     ws: &mut BfsScratch,
-    entries: &mut Vec<(Rank, Dist)>,
-    visited: &mut u32,
-    pruned: &mut u32,
-) -> Result<()> {
-    for (idx, &w) in root_side_ranks[r as usize].iter().enumerate() {
-        ws.temp[w as usize] = root_side_dists[r as usize][idx];
+    sink: &mut K,
+) -> Result<(u32, u32)> {
+    // temp[w] = distance between w and r on the root's side.
+    let (lr, ld) = root_side.label(r);
+    for (&w, &d) in lr.iter().zip(ld) {
+        ws.temp[w as usize] = d;
     }
     ws.queue.clear();
     ws.queue.push(r);
     ws.tentative[r as usize] = 0;
     let mut head = 0usize;
-    let mut error = None;
+    let mut visited = 0u32;
+    let mut pruned = 0u32;
+    let mut outcome = Ok(());
 
     'bfs: while head < ws.queue.len() {
         let u = ws.queue[head];
         head += 1;
         let d = ws.tentative[u as usize];
-        *visited += 1;
+        visited += 1;
 
-        let mut prune = false;
-        let lr = &fill_ranks[u as usize];
-        let ld = &fill_dists[u as usize];
-        for (idx, &w) in lr.iter().enumerate() {
+        let (ur, ud) = sink.label(u);
+        let prune = ur.iter().zip(ud).any(|(&w, &dw)| {
             let tw = ws.temp[w as usize];
-            if tw != INF8 && tw as u32 + ld[idx] as u32 <= d as u32 {
-                prune = true;
-                break;
-            }
-        }
+            tw != INF8 && tw as u32 + dw as u32 <= d as u32
+        });
         if prune {
-            *pruned += 1;
+            pruned += 1;
             continue;
         }
-        entries.push((u, d));
+        if let Err(e) = sink.emit(u, d) {
+            outcome = Err(e);
+            break;
+        }
 
         let neighbors = if forward {
             h.out_neighbors(u)
@@ -482,7 +327,7 @@ fn relaxed_directed_bfs(
         for &w in neighbors {
             if ws.tentative[w as usize] == INF8 {
                 if d >= MAX_DIST {
-                    error = Some(PllError::DiameterTooLarge { root_rank: r });
+                    outcome = Err(PllError::DiameterTooLarge { root_rank: r });
                     break 'bfs;
                 }
                 ws.tentative[w as usize] = d + 1;
@@ -494,13 +339,10 @@ fn relaxed_directed_bfs(
     for &v in ws.queue.iter() {
         ws.tentative[v as usize] = INF8;
     }
-    for &w in root_side_ranks[r as usize].iter() {
+    for &w in lr {
         ws.temp[w as usize] = INF8;
     }
-    match error {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    outcome.map(|()| (visited, pruned))
 }
 
 /// An exact distance index over a directed, unweighted graph.

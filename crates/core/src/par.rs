@@ -1,21 +1,22 @@
-//! Batch-parallel index construction with deterministic, sequential-equal
-//! output — for **all four** graph variants.
+//! Batch-parallel index construction with deterministic output — the one
+//! search driver of **all four** graph variants, at every thread count.
 //!
 //! The paper's Algorithm 1 is inherently sequential: one pruned search per
 //! vertex, in rank order, each relying on the labels of every earlier
-//! root. Follow-up work (notably the PSL labelling of Li et al., *"A
-//! Highly Scalable Labelling Approach for Exact Distance Queries in
-//! Complex Networks"*) observed that the rank-order dependency can be
-//! relaxed: searches whose roots are *adjacent in rank* barely prune each
-//! other, so they can run concurrently as long as the result is fixed up
-//! to match the canonical labeling. This module implements that idea as a
+//! root. Farhan, Wang, Lin and McKay (*"A Highly Scalable Labelling
+//! Approach for Exact Distance Queries in Complex Networks"*, arXiv
+//! 1812.02363) observed that the rank-order dependency can be relaxed:
+//! searches whose roots are *adjacent in rank* barely prune each other, so
+//! they can run concurrently as long as the result is fixed up to match
+//! the canonical labeling. This module implements that idea as a
 //! variant-generic batched root-parallel substrate:
 //!
 //! 1. **Batching.** Remaining roots are processed in rank-ordered batches.
 //!    The first few roots run in singleton batches (they are the
 //!    high-degree hubs whose labels do nearly all later pruning, and their
 //!    searches would pollute each other); batch capacity then grows
-//!    geometrically up to a multiple of the thread count.
+//!    geometrically up to a multiple of the thread count. At one thread
+//!    every batch holds one root.
 //! 2. **Concurrent relaxed searches.** Each batch's pruned searches run on
 //!    worker threads (std scoped threads; roots are pulled from a shared
 //!    atomic cursor so slow roots don't straggle a static partition). A
@@ -30,13 +31,30 @@
 //! 3. **Rank-order commit + re-prune.** At the batch barrier the buffered
 //!    entries are committed strictly in rank order. An in-batch search
 //!    from root `r` could not see labels produced by same-batch roots
-//!    `x < r`, so it may have buffered entries the sequential build would
-//!    have pruned. Before appending an entry `(r, u, d)`, a merge-join
-//!    over the *fresh* (same-batch, already-committed) suffixes of the two
-//!    relevant labels checks for a hub `x` with `d(x→u) + d(r→x) ≤ d`
-//!    (sides oriented per variant); certified entries are dropped.
-//!    Per-thread visit counters are merged into [`ConstructionStats`] at
-//!    the same barrier.
+//!    `x < r`, so it may have buffered entries Algorithm 1 would have
+//!    pruned. Before appending an entry `(r, u, d)`, a merge-join over the
+//!    *fresh* (same-batch, already-committed) suffixes of the two relevant
+//!    labels checks for a hub `x` with `d(x→u) + d(r→x) ≤ d` (sides
+//!    oriented per variant); certified entries are dropped. Per-root
+//!    visit counters are merged into [`ConstructionStats`] at the same
+//!    barrier.
+//!
+//! # One search, two sinks
+//!
+//! Each variant writes its pruned search once, generic over where the
+//! entries it does not prune go (a `LabelSink`, which is also how the
+//! search reads the label side it fills). The *buffer* sink reads the
+//! committed labels and collects `(u, d)` candidates: that is the relaxed
+//! in-batch search of step 2, whose output [`PrunedSearch::commit`]
+//! re-prunes and appends. The *in-place* sink appends each entry straight
+//! to the committed labels as the search makes it — with its BFS parent,
+//! for an undirected build that stores parents — so later visits of the
+//! same search prune against it, exactly as Algorithm 1 does.
+//! [`run_batched`] runs every one-root batch through
+//! [`PrunedSearch::search_in_place`] on the calling thread: no spawn, no
+//! buffer, no re-prune. A `threads(1)` build is therefore this driver
+//! with one-root batches throughout, not a separate loop, and a `k > 1`
+//! build runs its head of hubs the same way.
 //!
 //! The pruned searches are not the only parallel piece: Phase 0 and the
 //! final flatten ride the same thread count, so the parallel build has no
@@ -46,79 +64,72 @@
 //! closeness BFSs one-per-worker), the relabelling translates disjoint
 //! rank chunks after a checked sequential prefix sum
 //! ([`pll_graph::reorder::apply_order_threaded`]), and the flatten copies
-//! label chunks into disjoint arena slices ([`LabelSet`]`::from_vecs`).
-//! Each of those is *output-identical* at any thread count (total
-//! comparators, associative `u64` reductions, disjoint writes), so the
-//! byte-identical guarantee below is preserved end to end.
+//! label chunks into disjoint arena slices
+//! ([`LabelSet`](crate::label::LabelSet)`::from_vecs`). Each of those is
+//! *output-identical* at any thread count (total comparators, associative
+//! `u64` reductions, disjoint writes), so the byte-identical guarantee
+//! below is preserved end to end.
 //!
-//! The bit-parallel phase fans its `t` BFSs out the same way: each worker
-//! runs `bp::level_sync_bfs` into its own `BpScratch` and commits the slot
-//! straight into the shared arena of 17-byte `BpEntry`s under a lock.
-//! Slots are disjoint, so the arena is identical whatever the commit
-//! order, and no per-root column is ever buffered: the phase peaks at the
-//! arena plus one scratch (17 B per vertex) per worker, as the sequential
-//! build does with one.
+//! The bit-parallel phase of the undirected build fans its `t` BFSs out
+//! the same way: each worker runs `bp::level_sync_bfs` into its own
+//! `BpScratch` and commits the slot straight into the shared arena of
+//! 17-byte `BpEntry`s under a lock. Slots are disjoint, so the arena is
+//! identical whatever the commit order, and no per-root column is ever
+//! buffered: the phase peaks at the arena plus one scratch (17 B per
+//! vertex) per worker. At one thread the worker is the calling thread.
 //!
 //! The mechanics above — batching, fan-out, commit discipline — are shared
 //! across variants through the [`PrunedSearch`] trait and the
-//! [`run_batched`] driver; each variant contributes only its relaxed
-//! per-root search and its commit-time re-prune. The undirected
-//! implementation lives here; the directed, weighted and weighted-directed
-//! implementations live with their sequential builders in
-//! [`crate::directed`], [`crate::weighted`] and
+//! [`run_batched`] driver; each variant contributes only its one pruned
+//! search and its commit-time re-prune, and both live with its builder in
+//! [`crate::build`], [`crate::directed`], [`crate::weighted`] and
 //! [`crate::weighted_directed`].
 //!
-//! # Why the output is byte-identical to the sequential build
+//! # Why the output is the same at every thread count
 //!
 //! The pruned labeling is *canonical*: whether `(r, u, d(r,u))` is in the
 //! label set depends only on the vertex order, through the recursive (in
 //! rank) characterisation — `(r, u)` is labeled iff the bit-parallel bound
 //! does not certify `d(r,u)` and no hub `x < r` with `(x,r)` and `(x,u)`
-//! both labeled has `d(x,u) + d(x,r) ≤ d(r,u)`. Relative to the
-//! sequential run, an in-batch search only *weakens* pruning (it misses
-//! same-batch certificates), so it buffers a superset of the sequential
-//! entries with identical distances. The commit-time re-prune applies
-//! exactly the missing same-batch certificates, in rank order, against
-//! already-canonical earlier labels — restoring the characterisation
-//! batch by batch, by induction. Two standard lemmas close the argument
-//! for vertices the sequential search never visited: certificates
-//! propagate down shortest paths (if `x` certifies a cut ancestor of `u'`,
-//! it certifies `u'`), and for the minimal-rank true-distance certificate
-//! `x`, either `x` labels both endpoints or a bit-parallel root already
-//! certifies the pair — so every extra visit is caught by the search's own
-//! BP/committed-label tests or by the re-prune join. Both lemmas use only
-//! the (directed) triangle inequality and the 2-hop cover invariant, so
-//! the argument carries verbatim to the directed variants (with the two
-//! label sides oriented along the search direction) and to the weighted
-//! variants (with additive edge weights and settle-time pruning).
+//! both labeled has `d(x,u) + d(x,r) ≤ d(r,u)`. A one-root batch is
+//! Algorithm 1's own step. Relative to it, an in-batch search only
+//! *weakens* pruning (it misses same-batch certificates), so it buffers a
+//! superset of Algorithm 1's entries with identical distances. The
+//! commit-time re-prune applies exactly the missing same-batch
+//! certificates, in rank order, against already-canonical earlier labels
+//! — restoring the characterisation batch by batch, by induction. Two
+//! standard lemmas close the argument for vertices Algorithm 1's search
+//! never visited: certificates propagate down shortest paths (if `x`
+//! certifies a cut ancestor of `u'`, it certifies `u'`), and for the
+//! minimal-rank true-distance certificate `x`, either `x` labels both
+//! endpoints or a bit-parallel root already certifies the pair — so every
+//! extra visit is caught by the search's own BP/committed-label tests or
+//! by the re-prune join. Both lemmas use only the (directed) triangle
+//! inequality and the 2-hop cover invariant, so the argument carries
+//! verbatim to the directed variants (with the two label sides oriented
+//! along the search direction) and to the weighted variants (with
+//! additive edge weights and settle-time pruning).
 //!
-//! Two deliberate deviations from bit-exactness, both documented on
-//! [`IndexBuilder::threads`]: graphs whose pruned searches would exceed
-//! the 8-bit distance ceiling can surface [`PllError::DiameterTooLarge`]
-//! on a root the sequential build would have pruned short of the ceiling
-//! (the error is still correct — such graphs need the weighted index),
-//! and `abort_after_seconds` triggers at batch rather than root
-//! granularity. `abort_if_avg_label_exceeds` fires at exactly the same
-//! root as the sequential build, because committed totals match after
-//! every root. The weighted variants have no such caveat: their searches
+//! Two deliberate deviations from bit-exactness at `k > 1` threads, both
+//! documented on [`IndexBuilder::threads`](crate::IndexBuilder::threads):
+//! graphs whose pruned searches would exceed the 8-bit distance ceiling
+//! can surface [`PllError::DiameterTooLarge`] on a root that Algorithm 1
+//! would have pruned short of the ceiling (the error is still correct —
+//! such graphs need the weighted index), and `abort_after_seconds`
+//! triggers at batch rather than root granularity.
+//! `abort_if_avg_label_exceeds` fires at exactly the same root at every
+//! thread count, because committed totals match after every root. The
+//! weighted variants have no such caveat: their relaxed searches
 //! accumulate distances in 64-bit scratch and the `u32` label-overflow
-//! check runs at *commit* time on entries that survive the re-prune —
-//! exactly the entries the sequential build labels — so
-//! [`PllError::WeightedDistanceOverflow`] fires iff the sequential build
-//! fires it.
+//! check runs when an entry is appended — at commit time on entries that
+//! survive the re-prune, which are exactly Algorithm 1's entries — so
+//! [`PllError::WeightedDistanceOverflow`] fires on the same input at every
+//! thread count.
 
-use crate::bp::{level_sync_bfs, select_bp_roots, BitParallelLabels, BpScratch};
-use crate::build::{prune_test, BuildObserver, IndexBuilder, PartialIndex};
 use crate::error::{PllError, Result};
-use crate::index::PllIndex;
-use crate::label::LabelSet;
-use crate::order::compute_order_threaded;
 use crate::stats::{ConstructionStats, RootStats};
-use crate::types::{Dist, Rank, INF8, MAX_DIST};
-use pll_graph::reorder::{apply_order_threaded, inverse_permutation};
-use pll_graph::CsrGraph;
+use crate::types::{Dist, Rank, WDist, INF8};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Number of leading pruned-search roots processed in singleton batches.
@@ -152,36 +163,41 @@ pub fn max_threads() -> usize {
     std::thread::available_parallelism().map_or(16, |p| p.get().saturating_mul(4).max(16))
 }
 
-/// One graph variant's contribution to the batch-parallel substrate: a
-/// relaxed per-root pruned search plus its commit-time re-prune.
+/// One graph variant's contribution to the batch-parallel substrate: its
+/// pruned search, run either in place or relaxed and buffered, plus the
+/// commit-time re-prune of the buffered form.
 ///
 /// The [`run_batched`] driver owns everything else — rank-ordered
-/// batching with a sequential head, the worker fan-out over scoped
+/// batching with a singleton head, the worker fan-out over scoped
 /// threads, the thread-local scratch pool, and the strict rank-order
-/// commit at each batch barrier. An implementation must uphold two
-/// contracts for the driver's sequential-identical guarantee to hold:
+/// commit at each batch barrier. An implementation must uphold three
+/// contracts for the driver's thread-count-independent output to hold:
 ///
-/// * [`search`](PrunedSearch::search) reads **only** committed label
-///   state (plus immutable per-variant context such as the rank-space
-///   graph) and buffers its label candidates into the returned
-///   [`Run`](PrunedSearch::Run) instead of publishing them. It must visit
-///   a superset of the sequential search's labeled vertices, at identical
-///   distances — which relaxing the prune tests (by missing same-batch
-///   hubs) guarantees for the pruned BFS/Dijkstra family.
+/// * [`search_in_place`](PrunedSearch::search_in_place) is Algorithm 1's
+///   step for root `r`: it prunes against the live label state and
+///   appends every surviving entry to it as the search makes it.
+/// * [`search`](PrunedSearch::search) runs the same search against
+///   **only** committed label state (plus immutable per-variant context
+///   such as the rank-space graph) and buffers its label candidates into
+///   the returned [`Run`](PrunedSearch::Run) instead of publishing them.
+///   It must visit a superset of the in-place search's labeled vertices,
+///   at identical distances — which relaxing the prune tests (by missing
+///   same-batch hubs) guarantees for the pruned BFS/Dijkstra family.
 /// * [`commit`](PrunedSearch::commit) appends the run's surviving entries
-///   to the label state exactly as the sequential build would, dropping
+///   to the label state exactly as the in-place search would, dropping
 ///   every entry certified by a same-batch hub `x` with
-///   `batch_first ≤ x < r` (see [`fresh_certificate`]), and returns the
-///   root's counters; the driver folds them into [`ConstructionStats`]
-///   (`pruned_roots`, `total_visited`, `total_labeled`, `total_pruned`,
-///   `repruned`), so no implementation touches the totals itself.
+///   `batch_first ≤ x < r` (see [`fresh_certificate`]).
 ///
-/// Invoked in rank order, the two methods therefore reproduce the
-/// sequential recursion batch by batch; see the module docs for the full
+/// Both write paths return the root's counters as a [`RootCommit`]; the
+/// driver folds them into [`ConstructionStats`] (`pruned_roots`,
+/// `total_visited`, `total_labeled`, `total_pruned`, `repruned`), so no
+/// implementation touches the totals itself. Invoked in rank order, they
+/// reproduce Algorithm 1 batch by batch; see the module docs for the full
 /// determinism argument.
 pub trait PrunedSearch: Sync {
     /// Committed label state: read (shared) by in-flight searches, written
-    /// only at the batch barrier by [`commit`](PrunedSearch::commit).
+    /// by in-place searches and, at the batch barrier, by
+    /// [`commit`](PrunedSearch::commit).
     type State: Sync;
     /// Thread-local scratch (tentative/temp arrays, queue or heap),
     /// allocated once per worker and lazily reset between roots (§4.5).
@@ -192,6 +208,16 @@ pub trait PrunedSearch: Sync {
 
     /// Allocates one worker's scratch.
     fn new_scratch(&self) -> Self::Scratch;
+
+    /// Runs the pruned search(es) from `r` in place: every entry that
+    /// survives the prune test is appended to `state` at once. Used for
+    /// every one-root batch, on the calling thread.
+    fn search_in_place(
+        &self,
+        state: &mut Self::State,
+        r: Rank,
+        scratch: &mut Self::Scratch,
+    ) -> Result<RootCommit>;
 
     /// Runs the relaxed pruned search(es) from `r` against the committed
     /// state, buffering label candidates into the returned run.
@@ -204,8 +230,7 @@ pub trait PrunedSearch: Sync {
 
     /// Commits `run` at the batch barrier: re-prunes each buffered entry
     /// against the same-batch hubs in `batch_first..r` and appends the
-    /// survivors in the sequential build's order. Returns the root's
-    /// counters; the driver folds them into [`ConstructionStats`].
+    /// survivors in the in-place search's order.
     fn commit(
         &self,
         state: &mut Self::State,
@@ -215,7 +240,7 @@ pub trait PrunedSearch: Sync {
     ) -> Result<RootCommit>;
 }
 
-/// Per-root outcome of a [`PrunedSearch::commit`], folded into
+/// Per-root outcome of a [`PrunedSearch`] write, folded into
 /// [`ConstructionStats`] by the [`run_batched`] driver.
 pub struct RootCommit {
     /// The root's visit/label/prune counters (`pruned` already includes
@@ -223,20 +248,38 @@ pub struct RootCommit {
     /// `visited = labeled + pruned`).
     pub stats: RootStats,
     /// Entries buffered by the relaxed search but removed by the
-    /// commit-time re-prune (also counted inside `stats.pruned`).
+    /// commit-time re-prune (also counted inside `stats.pruned`); 0 for an
+    /// in-place search.
     pub repruned: u32,
 }
 
-/// The variant-generic batch-parallel driver: processes `roots` (already
-/// in rank order) in growing batches, fanning each batch's searches out
-/// over `threads` workers and committing results in rank order at the
-/// batch barrier.
+impl RootCommit {
+    /// Counters of root `r`: of its `visited` vertices, the search pruned
+    /// `pruned` and the commit-time re-prune dropped `repruned`; every
+    /// other visit was labeled.
+    pub(crate) fn new(r: Rank, visited: u32, pruned: u32, repruned: u32) -> Self {
+        RootCommit {
+            stats: RootStats {
+                rank: r,
+                visited,
+                labeled: visited - pruned - repruned,
+                pruned: pruned + repruned,
+            },
+            repruned,
+        }
+    }
+}
+
+/// The variant-generic construction driver: processes `roots` (already in
+/// rank order) in growing batches, running one-root batches in place on
+/// the calling thread and fanning larger batches' searches out over
+/// `threads` workers with a rank-order commit at the batch barrier. At
+/// `threads == 1` every batch has one root.
 ///
-/// `after_commit` runs after every root's commit with the committed state
-/// and that root's stats — the undirected path uses it for build
-/// observers and the label-budget abort; an `Err` aborts construction.
-/// `abort_seconds` is checked at batch granularity against the driver's
-/// own start time.
+/// `after_commit` runs after every root with the committed state and that
+/// root's stats — the undirected build uses it for build observers and
+/// the label-budget abort; an `Err` aborts construction. `abort_seconds`
+/// is checked after every batch against the driver's own start time.
 pub fn run_batched<S: PrunedSearch>(
     search: &S,
     state: &mut S::State,
@@ -248,70 +291,80 @@ pub fn run_batched<S: PrunedSearch>(
 ) -> Result<()> {
     let started = Instant::now();
     let mut scratches: Vec<S::Scratch> = (0..threads).map(|_| search.new_scratch()).collect();
+    let mut fold = |state: &S::State, committed: RootCommit, stats: &mut ConstructionStats| {
+        stats.pruned_roots += 1;
+        stats.total_visited += committed.stats.visited as u64;
+        stats.total_labeled += committed.stats.labeled as u64;
+        stats.total_pruned += committed.stats.pruned as u64;
+        stats.repruned += committed.repruned as u64;
+        after_commit(state, &committed.stats, stats)
+    };
 
     let mut pos = 0usize;
     let mut batch_cap = threads;
     while pos < roots.len() {
-        let cap = if pos < SEQUENTIAL_HEAD_ROOTS {
+        let cap = if threads == 1 || pos < SEQUENTIAL_HEAD_ROOTS {
             1
         } else {
             batch_cap
         };
         let batch = &roots[pos..(pos + cap).min(roots.len())];
-        let batch_first = batch[0];
 
-        // Fan out: workers pull roots from the shared cursor and buffer
-        // their label candidates against the committed (pre-batch) state.
-        let workers = threads.min(batch.len());
-        let cursor = AtomicUsize::new(0);
-        let worker_outputs: Vec<Vec<(usize, Result<S::Run>)>> = std::thread::scope(|scope| {
-            let cursor = &cursor;
-            let state: &S::State = state;
-            let handles: Vec<_> = scratches
-                .iter_mut()
-                .take(workers)
-                .map(|ws| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            // ORDERING: Relaxed — work-stealing cursor;
-                            // fetch_add is already atomic, and the scope
-                            // join below orders the results.
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= batch.len() {
-                                break;
+        if let [r] = *batch {
+            // Algorithm 1's own step: no spawn, no buffer, no re-prune.
+            let committed = search.search_in_place(state, r, &mut scratches[0])?;
+            fold(state, committed, stats)?;
+        } else {
+            // Fan out: workers pull roots from the shared cursor and buffer
+            // their label candidates against the committed (pre-batch) state.
+            let workers = threads.min(batch.len());
+            let cursor = AtomicUsize::new(0);
+            let worker_outputs: Vec<Vec<(usize, Result<S::Run>)>> = std::thread::scope(|scope| {
+                let cursor = &cursor;
+                let state: &S::State = state;
+                let handles: Vec<_> = scratches
+                    .iter_mut()
+                    .take(workers)
+                    .map(|ws| {
+                        scope.spawn(move || {
+                            let mut out = Vec::new();
+                            loop {
+                                // ORDERING: Relaxed — work-stealing cursor;
+                                // fetch_add is already atomic, and the scope
+                                // join below orders the results.
+                                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                                if i >= batch.len() {
+                                    break;
+                                }
+                                out.push((i, search.search(state, batch[i], ws)));
                             }
-                            out.push((i, search.search(state, batch[i], ws)));
-                        }
-                        out
+                            out
+                        })
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("pruned-search worker panicked"))
-                .collect()
-        });
-        let mut runs: Vec<Option<Result<S::Run>>> = (0..batch.len()).map(|_| None).collect();
-        for (i, run) in worker_outputs.into_iter().flatten() {
-            runs[i] = Some(run);
-        }
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("pruned-search worker panicked"))
+                    .collect()
+            });
+            let mut runs: Vec<Option<Result<S::Run>>> = (0..batch.len()).map(|_| None).collect();
+            for (i, run) in worker_outputs.into_iter().flatten() {
+                runs[i] = Some(run);
+            }
 
-        // Barrier: commit in rank order, re-pruning each entry against the
-        // same-batch hubs its search could not see. Errors are surfaced
-        // for the lowest-ranked failing root, like the sequential build.
-        for (k, run) in runs.into_iter().enumerate() {
-            let r = batch[k];
-            let run = run.expect("every batch slot is claimed by exactly one worker")?;
-            let committed = search.commit(state, batch_first, r, run)?;
-            stats.pruned_roots += 1;
-            stats.total_visited += committed.stats.visited as u64;
-            stats.total_labeled += committed.stats.labeled as u64;
-            stats.total_pruned += committed.stats.pruned as u64;
-            stats.repruned += committed.repruned as u64;
-            after_commit(state, &committed.stats, stats)?;
+            // Barrier: commit in rank order, re-pruning each entry against
+            // the same-batch hubs its search could not see. Errors are
+            // surfaced for the lowest-ranked failing root, as one root at a
+            // time would surface them.
+            for (k, run) in runs.into_iter().enumerate() {
+                let run = run.expect("every batch slot is claimed by exactly one worker")?;
+                let committed = search.commit(state, batch[0], batch[k], run)?;
+                fold(state, committed, stats)?;
+            }
         }
-        stats.parallel_batches += 1;
+        if threads > 1 {
+            stats.parallel_batches += 1;
+        }
 
         if let Some(seconds) = abort_seconds {
             if started.elapsed().as_secs_f64() > seconds {
@@ -369,73 +422,210 @@ pub fn fresh_certificate<D: Copy + Into<u64>>(
     false
 }
 
-/// A borrowed label side: per-vertex rank and distance vectors.
-pub(crate) type LabelSideRef<'a, D> = (&'a [Vec<Rank>], &'a [Vec<D>]);
+/// A label distance: 8-bit hops ([`Dist`]) or 32-bit weighted distances
+/// ([`WDist`]), narrowed from the search's distance when an entry is
+/// appended.
+pub(crate) trait LabelDist: Copy + Into<u64> {
+    /// `d` at label width, or the build's error when it does not fit.
+    fn narrow(d: u64) -> Result<Self>;
+}
 
-/// Commits one label side's buffered entries for root `r`: each `(u, d)`
-/// is dropped if a same-batch hub certifies it ([`fresh_certificate`]
-/// over the fill-side label of `u` and the root-side label of `r`),
-/// otherwise converted by `convert` (identity for 8-bit BFS distances;
-/// the `u32` overflow check for the weighted variants) and appended to
-/// `u`'s fill-side label. `root_side` is `None` when the root-side label
-/// lives in the same (mutably borrowed) arrays as the fill side — the
-/// single-label undirected/weighted variants — and `Some` for the
-/// two-sided directed variants. Increments `labeled`/`repruned` so the
-/// caller can fold both sides of a root into one [`RootCommit`].
+impl LabelDist for Dist {
+    /// Pruned BFSs stop at the 8-bit ceiling themselves.
+    #[inline]
+    fn narrow(d: u64) -> Result<Dist> {
+        Ok(d as Dist)
+    }
+}
+
+impl LabelDist for WDist {
+    #[inline]
+    fn narrow(d: u64) -> Result<WDist> {
+        crate::weighted::check_label_overflow(d)
+    }
+}
+
+/// One label side under construction: per-vertex hub ranks and
+/// distances, each list in rank order.
+pub(crate) struct LabelVecs<D> {
+    pub(crate) ranks: Vec<Vec<Rank>>,
+    pub(crate) dists: Vec<Vec<D>>,
+}
+
+impl<D: Copy> LabelVecs<D> {
+    pub(crate) fn new(n: usize) -> Self {
+        LabelVecs {
+            ranks: vec![Vec::new(); n],
+            dists: vec![Vec::new(); n],
+        }
+    }
+
+    #[inline]
+    pub(crate) fn label(&self, v: Rank) -> (&[Rank], &[D]) {
+        (&self.ranks[v as usize], &self.dists[v as usize])
+    }
+}
+
+/// Where a pruned search sends the entries `(r, u, d)` it does not prune,
+/// and through which it reads the label side it fills. `D` is the label
+/// distance, `E` the search's own (8-bit for BFS, 64-bit for Dijkstra).
+pub(crate) trait LabelSink<D, E> {
+    /// The fill-side label of `u`, as this search's prune test sees it.
+    fn label(&self, u: Rank) -> (&[Rank], &[D]);
+    /// Records that `u` is labeled with the root at distance `d`.
+    fn emit(&mut self, u: Rank, d: E) -> Result<()>;
+    /// Records that the search reached `w` from `from` (`RANK_SENTINEL`
+    /// for the root); only a sink that stores parents keeps it.
+    #[inline]
+    fn reach(&mut self, _w: Rank, _from: Rank) {}
+}
+
+/// The sink of a relaxed in-batch search: reads the committed labels,
+/// collects candidates for [`PrunedSearch::commit`].
+pub(crate) struct Buffer<'a, D, E> {
+    side: &'a LabelVecs<D>,
+    pub(crate) entries: Vec<(Rank, E)>,
+}
+
+impl<'a, D, E> Buffer<'a, D, E> {
+    pub(crate) fn new(side: &'a LabelVecs<D>) -> Self {
+        Buffer {
+            side,
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<D: Copy, E> LabelSink<D, E> for Buffer<'_, D, E> {
+    #[inline(always)]
+    fn label(&self, u: Rank) -> (&[Rank], &[D]) {
+        self.side.label(u)
+    }
+
+    #[inline(always)]
+    fn emit(&mut self, u: Rank, d: E) -> Result<()> {
+        self.entries.push((u, d));
+        Ok(())
+    }
+}
+
+/// Parent pointers of an undirected build that stores them (§6): one per
+/// label entry, plus the current search's BFS tree.
+pub(crate) struct Parents {
+    pub(crate) labels: Vec<Vec<Rank>>,
+    tree: Vec<Rank>,
+}
+
+impl Parents {
+    pub(crate) fn new(n: usize) -> Self {
+        Parents {
+            labels: vec![Vec::new(); n],
+            tree: vec![crate::types::RANK_SENTINEL; n],
+        }
+    }
+}
+
+/// The sink that appends to the committed labels of root `r` directly:
+/// the in-place search of a one-root batch, and the append step of
+/// [`commit_entries`]. Narrows each distance to label width on the way
+/// in, so the weighted `u32` overflow check fires on exactly the entries
+/// that are labeled.
+pub(crate) struct InPlace<'a, D> {
+    r: Rank,
+    side: &'a mut LabelVecs<D>,
+    parents: Option<&'a mut Parents>,
+}
+
+impl<'a, D: LabelDist> InPlace<'a, D> {
+    pub(crate) fn new(r: Rank, side: &'a mut LabelVecs<D>) -> Self {
+        InPlace {
+            r,
+            side,
+            parents: None,
+        }
+    }
+
+    /// Also appends each entry's BFS parent to `parents`.
+    pub(crate) fn with_parents(mut self, parents: Option<&'a mut Parents>) -> Self {
+        self.parents = parents;
+        self
+    }
+
+    #[inline(always)]
+    fn label(&self, u: Rank) -> (&[Rank], &[D]) {
+        self.side.label(u)
+    }
+
+    #[inline(always)]
+    fn push(&mut self, u: Rank, d: u64) -> Result<()> {
+        let d = D::narrow(d)?;
+        self.side.ranks[u as usize].push(self.r);
+        self.side.dists[u as usize].push(d);
+        if let Some(p) = &mut self.parents {
+            p.labels[u as usize].push(p.tree[u as usize]);
+        }
+        Ok(())
+    }
+}
+
+// The sinks' methods are forced inline: left to the compiler, `emit`
+// stayed an out-of-line call in the `pll` binary, and the threads(1)
+// search phase measured ~6% slower than with the append inlined.
+impl<D: LabelDist, E: Into<u64>> LabelSink<D, E> for InPlace<'_, D> {
+    #[inline(always)]
+    fn label(&self, u: Rank) -> (&[Rank], &[D]) {
+        InPlace::label(self, u)
+    }
+
+    #[inline(always)]
+    fn emit(&mut self, u: Rank, d: E) -> Result<()> {
+        self.push(u, d.into())
+    }
+
+    #[inline(always)]
+    fn reach(&mut self, w: Rank, from: Rank) {
+        if let Some(p) = &mut self.parents {
+            p.tree[w as usize] = from;
+        }
+    }
+}
+
+/// Commits one label side's buffered entries through `sink`: each `(u,
+/// d)` is dropped if a same-batch hub certifies it ([`fresh_certificate`]
+/// over the fill-side label of `u` and the root-side label of the sink's
+/// root), otherwise appended. `root_side` is `None` when the root-side
+/// label is the fill side itself — the single-label undirected/weighted
+/// variants — and `Some` for the two-sided directed variants. Counts
+/// drops in `repruned`.
 ///
 /// Shared by every [`PrunedSearch::commit`] implementation so the
 /// re-prune/append discipline cannot drift between variants.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_entries<D, E>(
+pub(crate) fn commit_entries<D: LabelDist, E: Copy + Into<u64>>(
     entries: &[(Rank, E)],
-    fill_ranks: &mut [Vec<Rank>],
-    fill_dists: &mut [Vec<D>],
-    root_side: Option<LabelSideRef<'_, D>>,
+    sink: &mut InPlace<'_, D>,
+    root_side: Option<&LabelVecs<D>>,
     batch_first: Rank,
-    r: Rank,
-    convert: impl Fn(u64) -> Result<D>,
-    labeled: &mut u32,
     repruned: &mut u32,
-) -> Result<()>
-where
-    D: Copy + Into<u64>,
-    E: Copy + Into<u64>,
-{
+) -> Result<()> {
+    let r = sink.r;
     for &(u, d) in entries {
-        let d: u64 = d.into();
-        let certified = {
-            let (rr, rd) = match root_side {
-                Some((rr, rd)) => (&rr[r as usize], &rd[r as usize]),
-                // Entries this loop already appended to the root's own
-                // label all carry rank `r` itself, which the merge-join's
-                // `x < r` window excludes — reading the live label is
-                // equivalent to a pre-loop snapshot.
-                None => (&fill_ranks[r as usize], &fill_dists[r as usize]),
-            };
-            fresh_certificate(
-                &fill_ranks[u as usize],
-                &fill_dists[u as usize],
-                rr,
-                rd,
-                batch_first,
-                r,
-                d,
-            )
-        };
-        if certified {
+        let (lu, du) = sink.label(u);
+        // Entries this loop already appended to the root's own label all
+        // carry rank `r` itself, which the merge-join's `x < r` window
+        // excludes — reading the live label is equivalent to a snapshot.
+        let (lr, dr) = root_side.map_or_else(|| sink.label(r), |side| side.label(r));
+        if fresh_certificate(lu, du, lr, dr, batch_first, r, d.into()) {
             *repruned += 1;
-            continue;
+        } else {
+            sink.push(u, d.into())?;
         }
-        fill_ranks[u as usize].push(r);
-        fill_dists[u as usize].push(convert(d)?);
-        *labeled += 1;
     }
     Ok(())
 }
 
-/// Per-worker scratch for relaxed pruned BFSs: the 8-bit tentative (`P`)
-/// and temp (`T`) arrays of §4.5, reset lazily between roots, plus the
-/// reusable queue. Shared by the undirected and directed BFS variants.
+/// Per-worker scratch for pruned BFSs: the 8-bit tentative (`P`) and temp
+/// (`T`) arrays of §4.5, reset lazily between roots, plus the reusable
+/// queue. Shared by the undirected and directed BFS variants.
 pub(crate) struct BfsScratch {
     pub(crate) tentative: Vec<Dist>,
     pub(crate) temp: Vec<Dist>,
@@ -452,11 +642,11 @@ impl BfsScratch {
     }
 }
 
-/// Per-worker scratch for relaxed pruned Dijkstra searches: 64-bit
-/// tentative/temp arrays (weighted distances accumulate in `u64` before
-/// the `u32` label check), the touched-vertex list driving the lazy
-/// reset, and a reusable binary heap. Shared by the weighted and
-/// weighted-directed Dijkstra variants.
+/// Per-worker scratch for pruned Dijkstra searches: 64-bit tentative/temp
+/// arrays (weighted distances accumulate in `u64` before the `u32` label
+/// check), the touched-vertex list driving the lazy reset, and a reusable
+/// binary heap. Shared by the weighted and weighted-directed Dijkstra
+/// variants.
 pub(crate) struct DijkstraScratch {
     pub(crate) tentative: Vec<u64>,
     pub(crate) temp: Vec<u64>,
@@ -475,317 +665,12 @@ impl DijkstraScratch {
     }
 }
 
-/// Output of one relaxed pruned BFS: buffered `(vertex, distance)` label
-/// candidates in visit order, plus the visit/prune counters.
-struct RootRun {
-    entries: Vec<(Rank, Dist)>,
-    visited: u32,
-    pruned: u32,
-}
-
-/// Committed label state of the undirected build (one label side).
-struct UndirectedState {
-    label_ranks: Vec<Vec<Rank>>,
-    label_dists: Vec<Vec<Dist>>,
-}
-
-/// The undirected unweighted [`PrunedSearch`]: one relaxed pruned BFS per
-/// root, pruning against committed labels and the fixed bit-parallel
-/// labels.
-struct UndirectedSearch<'g> {
-    h: &'g CsrGraph,
-    bp: &'g BitParallelLabels,
-}
-
-impl PrunedSearch for UndirectedSearch<'_> {
-    type State = UndirectedState;
-    type Scratch = BfsScratch;
-    type Run = RootRun;
-
-    fn new_scratch(&self) -> BfsScratch {
-        BfsScratch::new(self.h.num_vertices())
-    }
-
-    fn search(&self, state: &UndirectedState, r: Rank, ws: &mut BfsScratch) -> Result<RootRun> {
-        relaxed_pruned_bfs(
-            self.h,
-            self.bp,
-            &state.label_ranks,
-            &state.label_dists,
-            r,
-            ws,
-        )
-    }
-
-    fn commit(
-        &self,
-        state: &mut UndirectedState,
-        batch_first: Rank,
-        r: Rank,
-        run: RootRun,
-    ) -> Result<RootCommit> {
-        let mut labeled = 0u32;
-        let mut repruned = 0u32;
-        commit_entries(
-            &run.entries,
-            &mut state.label_ranks,
-            &mut state.label_dists,
-            None,
-            batch_first,
-            r,
-            |d| Ok(d as Dist),
-            &mut labeled,
-            &mut repruned,
-        )?;
-        Ok(RootCommit {
-            stats: RootStats {
-                rank: r,
-                visited: run.visited,
-                labeled,
-                pruned: run.pruned + repruned,
-            },
-            repruned,
-        })
-    }
-}
-
-/// The batch-parallel construction path behind
-/// [`IndexBuilder::threads`]`(k)` for `k > 1`. `threads` is already
-/// resolved (> 1) and `store_parents` has been rejected by the caller.
-pub(crate) fn build_parallel(
-    builder: &IndexBuilder,
-    g: &CsrGraph,
-    observer: &mut dyn BuildObserver,
-    threads: usize,
-) -> Result<PllIndex> {
-    let n = g.num_vertices();
-    if n > u32::MAX as usize - 1 {
-        return Err(PllError::Graph(pll_graph::GraphError::TooLarge {
-            what: "vertex count",
-        }));
-    }
-
-    // Phase 0: ordering + relabelling, output-identical to the
-    // sequential path but fanned out over the workers (parallel degree
-    // key extraction / chunk sort / closeness BFS sampling, then the
-    // two-pass chunked relabelling).
-    let t0 = Instant::now();
-    let order = compute_order_threaded(g, &builder.ordering, builder.seed, threads)?;
-    let order_seconds = t0.elapsed().as_secs_f64();
-    let tr = Instant::now();
-    let inv = inverse_permutation(&order);
-    let h = apply_order_threaded(g, &order, threads)?; // rank-space graph
-    let relabel_seconds = tr.elapsed().as_secs_f64();
-
-    let mut stats = ConstructionStats {
-        order_seconds,
-        relabel_seconds,
-        threads,
-        per_root: builder.record_root_stats.then(Vec::new),
-        ..Default::default()
-    };
-
-    let mut usd = vec![false; n];
-
-    // Phase 1: bit-parallel BFSs. Root/neighbour selection is sequential
-    // (it only manipulates `usd`); the BFSs fan out over the workers, each
-    // with its own BpScratch, and each worker commits its slot straight
-    // into the arena under a lock. Slots are disjoint, so commit order
-    // cannot change a byte; the lowest failing slot's error is returned,
-    // exactly the one the sequential build stops at.
-    let t1 = Instant::now();
-    let t = builder.bp_roots;
-    let specs = select_bp_roots(&h, &mut usd, t);
-    let mut bp = BitParallelLabels::new(n, t);
-    if !specs.is_empty() {
-        let workers = threads.min(specs.len());
-        let cursor = AtomicUsize::new(0);
-        let arena = Mutex::new(&mut bp);
-        let first_error = std::thread::scope(|scope| {
-            let (cursor, arena, specs, h) = (&cursor, &arena, &specs, &h);
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut scratch = BpScratch::new(n);
-                        loop {
-                            // ORDERING: Relaxed — work-stealing cursor,
-                            // as above; scope join orders the results.
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let (root, sub) = specs.get(i)?;
-                            // Slots are claimed in increasing order, so
-                            // every lower slot is already on some worker
-                            // and every later one here would rank higher:
-                            // stop at this worker's first error.
-                            if let Err(e) = level_sync_bfs(h, *root, sub, &mut scratch) {
-                                return Some((i, e));
-                            }
-                            arena
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .commit_root(i, *root, &scratch);
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|handle| handle.join().expect("bit-parallel worker panicked"))
-                .min_by_key(|&(i, _)| i)
-        });
-        if let Some((_, e)) = first_error {
-            return Err(e);
-        }
-        stats.bp_roots_used = specs.len();
-    }
-    stats.bp_seconds = t1.elapsed().as_secs_f64();
-
-    // Phase 2: batch-parallel pruned BFSs over the generic driver.
-    let t2 = Instant::now();
-    let label_budget_entries = builder
-        .abort_avg_label
-        .map(|b| (b * n as f64).ceil() as u64);
-
-    let mut state = UndirectedState {
-        label_ranks: vec![Vec::new(); n],
-        label_dists: vec![Vec::new(); n],
-    };
-    observer.after_bp_phase(&PartialIndex {
-        label_ranks: &state.label_ranks,
-        label_dists: &state.label_dists,
-        bp: &bp,
-        inv: &inv,
-    });
-
-    let roots: Vec<Rank> = (0..n as Rank).filter(|&r| !usd[r as usize]).collect();
-    let search = UndirectedSearch { h: &h, bp: &bp };
-    run_batched(
-        &search,
-        &mut state,
-        &roots,
-        threads,
-        &mut stats,
-        builder.abort_seconds,
-        |st, root_stats, stats| {
-            if let Some(per_root) = &mut stats.per_root {
-                per_root.push(*root_stats);
-            }
-            observer.after_root(
-                stats.pruned_roots,
-                root_stats,
-                &PartialIndex {
-                    label_ranks: &st.label_ranks,
-                    label_dists: &st.label_dists,
-                    bp: &bp,
-                    inv: &inv,
-                },
-            );
-            if let Some(budget) = label_budget_entries {
-                if stats.total_labeled > budget {
-                    return Err(PllError::LabelBudgetExceeded {
-                        budget: builder.abort_avg_label.unwrap_or_default(),
-                    });
-                }
-            }
-            Ok(())
-        },
-    )?;
-    stats.pruned_seconds = t2.elapsed().as_secs_f64();
-
-    let tf = Instant::now();
-    let labels = LabelSet::from_vecs(&state.label_ranks, &state.label_dists, None, threads)?;
-    stats.flatten_seconds = tf.elapsed().as_secs_f64();
-    Ok(PllIndex::from_parts(order, inv, labels, bp, stats))
-}
-
-/// One pruned BFS from `r` against the committed label state, buffering
-/// label candidates instead of publishing them. Identical to the
-/// sequential inner loop of Algorithm 1 except that label writes go to the
-/// returned buffer — the pruning predicate is literally shared
-/// ([`prune_test`]) and the lazy scratch resets match §4.5 exactly.
-fn relaxed_pruned_bfs(
-    h: &CsrGraph,
-    bp: &BitParallelLabels,
-    label_ranks: &[Vec<Rank>],
-    label_dists: &[Vec<Dist>],
-    r: Rank,
-    ws: &mut BfsScratch,
-) -> Result<RootRun> {
-    // Prepare the temp array from the committed L(r): T[w] = d(w, r).
-    {
-        let lr = &label_ranks[r as usize];
-        let ld = &label_dists[r as usize];
-        for (idx, &w) in lr.iter().enumerate() {
-            ws.temp[w as usize] = ld[idx];
-        }
-    }
-    let root_bp = bp.entries_of(r);
-
-    ws.queue.clear();
-    ws.queue.push(r);
-    ws.tentative[r as usize] = 0;
-    let mut head = 0usize;
-    let mut visited = 0u32;
-    let mut pruned = 0u32;
-    let mut entries: Vec<(Rank, Dist)> = Vec::new();
-    let mut error = None;
-
-    'bfs: while head < ws.queue.len() {
-        let u = ws.queue[head];
-        head += 1;
-        let d = ws.tentative[u as usize];
-        visited += 1;
-
-        let prune = prune_test(
-            root_bp,
-            bp.entries_of(u),
-            &label_ranks[u as usize],
-            &label_dists[u as usize],
-            &ws.temp,
-            d,
-        );
-        if prune {
-            pruned += 1;
-            continue;
-        }
-
-        entries.push((u, d));
-
-        for &w in h.neighbors(u) {
-            if ws.tentative[w as usize] == INF8 {
-                if d >= MAX_DIST {
-                    error = Some(PllError::DiameterTooLarge { root_rank: r });
-                    break 'bfs;
-                }
-                ws.tentative[w as usize] = d + 1;
-                ws.queue.push(w);
-            }
-        }
-    }
-
-    // Lazy reset of the touched entries (§4.5 "Initialization") — also on
-    // the error path, since the scratch is reused for the next root.
-    for &v in &ws.queue {
-        ws.tentative[v as usize] = INF8;
-    }
-    for &w in label_ranks[r as usize].iter() {
-        ws.temp[w as usize] = INF8;
-    }
-
-    match error {
-        Some(e) => Err(e),
-        None => Ok(RootRun {
-            entries,
-            visited,
-            pruned,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::{BuildObserver, IndexBuilder, PartialIndex};
     use crate::order::OrderingStrategy;
-    use pll_graph::gen;
+    use pll_graph::{gen, CsrGraph};
 
     fn assert_equal_builds(g: &CsrGraph, base: IndexBuilder) {
         let seq = base.clone().threads(1).build(g).unwrap();
@@ -878,24 +763,33 @@ mod tests {
     #[test]
     fn parallel_stats_are_consistent() {
         let g = gen::barabasi_albert(500, 3, 9).unwrap();
-        let par = IndexBuilder::new()
-            .bit_parallel_roots(4)
-            .threads(4)
-            .record_root_stats(true)
-            .build(&g)
-            .unwrap();
-        let s = par.stats();
-        assert_eq!(s.threads, 4);
-        assert_eq!(s.bp_roots_used, 4);
-        assert!(s.parallel_batches > 0);
-        assert_eq!(s.total_visited, s.total_labeled + s.total_pruned);
-        assert_eq!(s.per_root.as_ref().unwrap().len(), s.pruned_roots);
-        for rs in s.per_root.as_ref().unwrap() {
-            assert_eq!(rs.visited, rs.labeled + rs.pruned);
-        }
-        // The committed label volume matches the sequential build exactly.
         let seq = IndexBuilder::new().bit_parallel_roots(4).build(&g).unwrap();
-        assert_eq!(s.total_labeled, seq.stats().total_labeled);
+        for threads in [1usize, 2, 4] {
+            let par = IndexBuilder::new()
+                .bit_parallel_roots(4)
+                .threads(threads)
+                .record_root_stats(true)
+                .build(&g)
+                .unwrap();
+            let s = par.stats();
+            assert_eq!(s.threads, threads);
+            assert_eq!(s.bp_roots_used, 4);
+            if threads == 1 {
+                // Every batch is one root searched in place: nothing is
+                // counted as a parallel batch, buffered or re-pruned.
+                assert_eq!(s.parallel_batches, 0);
+                assert_eq!(s.repruned, 0);
+            } else {
+                assert!(s.parallel_batches > 0);
+            }
+            assert_eq!(s.total_visited, s.total_labeled + s.total_pruned);
+            assert_eq!(s.per_root.as_ref().unwrap().len(), s.pruned_roots);
+            for rs in s.per_root.as_ref().unwrap() {
+                assert_eq!(rs.visited, rs.labeled + rs.pruned);
+            }
+            // The committed label volume is the same at every thread count.
+            assert_eq!(s.total_labeled, seq.stats().total_labeled);
+        }
     }
 
     #[test]
@@ -903,7 +797,7 @@ mod tests {
         let g = gen::path(6).unwrap();
         for threads in [2usize, 0] {
             // threads(0) must fail on every host, even one whose single
-            // CPU would resolve "auto" to the sequential path.
+            // CPU would resolve "auto" to one thread.
             let err = IndexBuilder::new()
                 .bit_parallel_roots(0)
                 .store_parents(true)

@@ -49,16 +49,18 @@ pub struct ConstructionStats {
     pub total_labeled: u64,
     /// Total visits pruned.
     pub total_pruned: u64,
-    /// Worker threads used for construction (1 = the sequential path; the
-    /// per-thread visit/label/prune counters are merged into the totals
-    /// above at each batch barrier).
+    /// Worker threads used for construction (1 = every pruned search runs
+    /// in place on the calling thread; each root's visit/label/prune
+    /// counters are merged into the totals above as it commits).
     pub threads: usize,
-    /// Number of root batches the parallel path processed (0 for the
-    /// sequential path).
+    /// Number of root batches processed when `threads > 1`, the one-root
+    /// head batches included (0 at `threads == 1`, where every root is its
+    /// own batch).
     pub parallel_batches: usize,
-    /// Label entries buffered by in-batch BFSs and then removed by the
-    /// commit-time re-prune pass (0 for the sequential path; counted inside
-    /// `total_pruned` as well, so `visited = labeled + pruned` still holds).
+    /// Label entries buffered by in-batch searches and then removed by the
+    /// commit-time re-prune pass (0 at `threads == 1`, whose one-root
+    /// batches search in place; counted inside `total_pruned` as well, so
+    /// `visited = labeled + pruned` still holds).
     pub repruned: u64,
     /// Per-root breakdown, present iff `record_root_stats(true)`.
     pub per_root: Option<Vec<RootStats>>,

@@ -7,27 +7,30 @@
 //! search); the pruning test runs at *settle* time, when a vertex's distance
 //! from the root is final.
 //!
-//! [`WeightedIndexBuilder::threads`] selects the batch-parallel path:
-//! each worker runs a relaxed pruned Dijkstra with a thread-local binary
-//! heap and lazily-reset 64-bit `dist` scratch, and the batch barrier
-//! commits entries in rank order with the same-batch re-prune. The `u32`
-//! label-overflow check moves to commit time, where it fires on exactly
-//! the entries the sequential build labels — so the parallel path is
-//! byte-identical *including* its error behaviour; see [`crate::par`].
+//! The pruned Dijkstra runs through the driver of [`crate::par`] at every
+//! thread count, written once and generic over where its label entries
+//! go. At [`WeightedIndexBuilder::threads`]`(1)` each root's search
+//! appends straight to the labels, checking the `u32` label width as it
+//! appends. At `k > 1` threads, batches of roots run relaxed searches
+//! concurrently (thread-local binary heap, lazily-reset 64-bit `dist`
+//! scratch), and the batch barrier commits entries in rank order with the
+//! same-batch re-prune; the width check runs there, on exactly the entries
+//! that are labeled — so the index is byte-identical at every thread
+//! count *including* its error behaviour; see [`crate::par`].
 
 use crate::error::{PllError, Result};
 use crate::order::OrderingStrategy;
 use crate::par::{
-    commit_entries, resolve_threads, run_batched, DijkstraScratch, PrunedSearch, RootCommit,
+    commit_entries, resolve_threads, run_batched, Buffer, DijkstraScratch, InPlace, LabelSink,
+    LabelVecs, PrunedSearch, RootCommit,
 };
-use crate::stats::{ConstructionStats, RootStats};
+use crate::stats::ConstructionStats;
 use crate::storage::{LabelStorage, OwnedLabels, SectionSlice, ViewLabels};
 use crate::types::{Rank, Vertex, WDist, RANK_SENTINEL};
 use pll_graph::reorder::inverse_permutation;
 use pll_graph::wgraph::WeightedGraph;
 use pll_graph::{Xoshiro256pp, INF_U64};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Configures construction of a [`WeightedPllIndex`].
@@ -54,15 +57,14 @@ impl WeightedIndexBuilder {
         }
     }
 
-    /// Sets the number of worker threads for batch-parallel construction
-    /// (see [`crate::par`]): `1` (default) is the sequential pruned
-    /// Dijkstra path, `k > 1` runs batch-parallel pruned Dijkstras on `k`
-    /// threads with a byte-identical index (including
-    /// [`PllError::WeightedDistanceOverflow`] behaviour, checked at
-    /// commit time on exactly the sequential build's entries), and `0`
-    /// auto-detects one thread per CPU. The Degree ordering and the
-    /// label flatten ride the same knob, output-identically at any
-    /// thread count.
+    /// Sets the number of worker threads for construction (see
+    /// [`crate::par`]): `1` (default) runs every pruned Dijkstra on the
+    /// calling thread in rank order, `k > 1` runs batches of them
+    /// concurrently on `k` threads with a byte-identical index (including
+    /// [`PllError::WeightedDistanceOverflow`] behaviour: the `u32` label
+    /// check runs on exactly the entries that are labeled), and `0`
+    /// auto-detects one thread per CPU. The Degree ordering and the label
+    /// flatten ride the same knob, output-identically at any thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -145,111 +147,23 @@ impl WeightedIndexBuilder {
             threads,
             ..Default::default()
         };
-        if threads > 1 {
-            let mut state = WeightedState {
-                label_ranks: vec![Vec::new(); n],
-                label_dists: vec![Vec::new(); n],
-            };
-            let roots: Vec<Rank> = (0..n as Rank).collect();
-            let search = WeightedSearch { h: &h };
-            run_batched(
-                &search,
-                &mut state,
-                &roots,
-                threads,
-                &mut stats,
-                None,
-                |_, _, _| Ok(()),
-            )?;
-            stats.pruned_seconds = t1.elapsed().as_secs_f64();
-            let tf = Instant::now();
-            let (offsets, ranks, dists) =
-                flatten_weighted(&state.label_ranks, &state.label_dists, threads)?;
-            stats.flatten_seconds = tf.elapsed().as_secs_f64();
-            return Ok(WeightedPllIndex {
-                order,
-                inv,
-                labels: OwnedLabels {
-                    offsets,
-                    ranks,
-                    dists,
-                    parents: None,
-                },
-                stats,
-            });
-        }
-
-        let mut label_ranks: Vec<Vec<Rank>> = vec![Vec::new(); n];
-        let mut label_dists: Vec<Vec<WDist>> = vec![Vec::new(); n];
-
-        let mut tentative: Vec<u64> = vec![INF_U64; n];
-        let mut temp: Vec<u64> = vec![INF_U64; n];
-        let mut touched: Vec<Rank> = Vec::new();
-        let mut heap: BinaryHeap<Reverse<(u64, Rank)>> = BinaryHeap::new();
-
-        for r in 0..n as Rank {
-            for (idx, &w) in label_ranks[r as usize].iter().enumerate() {
-                temp[w as usize] = label_dists[r as usize][idx] as u64;
-            }
-            heap.clear();
-            touched.clear();
-            tentative[r as usize] = 0;
-            touched.push(r);
-            heap.push(Reverse((0, r)));
-
-            while let Some(Reverse((d, u))) = heap.pop() {
-                if d > tentative[u as usize] {
-                    continue; // stale heap entry
-                }
-                stats.total_visited += 1;
-
-                // Pruning test at settle time (distance d is final).
-                let mut prune = false;
-                let lr = &label_ranks[u as usize];
-                let ld = &label_dists[u as usize];
-                for (idx, &w) in lr.iter().enumerate() {
-                    let tw = temp[w as usize];
-                    if tw != INF_U64 && tw + ld[idx] as u64 <= d {
-                        prune = true;
-                        break;
-                    }
-                }
-                if prune {
-                    stats.total_pruned += 1;
-                    continue;
-                }
-                if d > WDist::MAX as u64 - 1 {
-                    return Err(PllError::WeightedDistanceOverflow);
-                }
-                label_ranks[u as usize].push(r);
-                label_dists[u as usize].push(d as WDist);
-                stats.total_labeled += 1;
-
-                for (w, wt) in h.neighbors(u) {
-                    let nd = d + wt as u64;
-                    if nd < tentative[w as usize] {
-                        if tentative[w as usize] == INF_U64 {
-                            touched.push(w);
-                        }
-                        tentative[w as usize] = nd;
-                        heap.push(Reverse((nd, w)));
-                    }
-                }
-            }
-            for &v in &touched {
-                tentative[v as usize] = INF_U64;
-            }
-            for &w in label_ranks[r as usize].iter() {
-                temp[w as usize] = INF_U64;
-            }
-            stats.pruned_roots += 1;
-        }
+        let mut labels = LabelVecs::new(n);
+        let roots: Vec<Rank> = (0..n as Rank).collect();
+        let search = WeightedSearch { h: &h };
+        run_batched(
+            &search,
+            &mut labels,
+            &roots,
+            threads,
+            &mut stats,
+            None,
+            |_, _, _| Ok(()),
+        )?;
         stats.pruned_seconds = t1.elapsed().as_secs_f64();
 
         let tf = Instant::now();
-        let (offsets, ranks, dists) = flatten_weighted(&label_ranks, &label_dists, 1)?;
+        let (offsets, ranks, dists) = flatten_weighted(&labels.ranks, &labels.dists, threads)?;
         stats.flatten_seconds = tf.elapsed().as_secs_f64();
-
         Ok(WeightedPllIndex {
             order,
             inv,
@@ -265,8 +179,7 @@ impl WeightedIndexBuilder {
 }
 
 /// Flattens per-vertex weighted labels into the sentinel-terminated arena
-/// layout (§4.5 "Sentinel"), shared by the sequential and batch-parallel
-/// paths so their serialised forms agree byte for byte. Offsets are a
+/// layout (§4.5 "Sentinel"), shared by both weighted variants. Offsets are a
 /// checked `u64` prefix sum and the label chunks are copied from `threads`
 /// scoped workers over disjoint arena slices, so the result is identical
 /// at any thread count.
@@ -289,22 +202,17 @@ pub(crate) fn flatten_weighted(
     Ok((offsets, ranks, dists))
 }
 
-/// The commit-time `u32` label check of the weighted variants: the
-/// sequential build checks this at settle time; surviving entries at
-/// commit are exactly its labeled entries, so
-/// [`PllError::WeightedDistanceOverflow`] fires on the same root either
-/// way.
+/// The `u32` label check of the weighted variants, run as an entry is
+/// appended to a label — by the in-place search as it settles the vertex,
+/// and at commit on the buffered entries that survive the re-prune. Both
+/// are exactly the labeled entries, so
+/// [`PllError::WeightedDistanceOverflow`] fires on the same input at
+/// every thread count.
 pub(crate) fn check_label_overflow(d: u64) -> Result<WDist> {
     if d > WDist::MAX as u64 - 1 {
         return Err(PllError::WeightedDistanceOverflow);
     }
     Ok(d as WDist)
-}
-
-/// Committed label state of the batch-parallel weighted build.
-struct WeightedState {
-    label_ranks: Vec<Vec<Rank>>,
-    label_dists: Vec<Vec<WDist>>,
 }
 
 /// Buffered output of one relaxed pruned Dijkstra: `(vertex, distance)`
@@ -317,15 +225,14 @@ struct WeightedRun {
     pruned: u32,
 }
 
-/// The weighted [`PrunedSearch`]: one relaxed pruned Dijkstra per root
-/// with a thread-local binary heap, pruning at settle time against the
-/// committed labels.
+/// The weighted [`PrunedSearch`]: one pruned Dijkstra per root, pruning
+/// at settle time against the labels.
 struct WeightedSearch<'g> {
     h: &'g WeightedGraph,
 }
 
 impl PrunedSearch for WeightedSearch<'_> {
-    type State = WeightedState;
+    type State = LabelVecs<WDist>;
     type Scratch = DijkstraScratch;
     type Run = WeightedRun;
 
@@ -333,102 +240,89 @@ impl PrunedSearch for WeightedSearch<'_> {
         DijkstraScratch::new(self.h.num_vertices())
     }
 
+    fn search_in_place(
+        &self,
+        labels: &mut LabelVecs<WDist>,
+        r: Rank,
+        ws: &mut DijkstraScratch,
+    ) -> Result<RootCommit> {
+        let mut sink = InPlace::new(r, labels);
+        let (visited, pruned) = pruned_dijkstra(self.h, r, ws, &mut sink)?;
+        Ok(RootCommit::new(r, visited, pruned, 0))
+    }
+
     fn search(
         &self,
-        state: &WeightedState,
+        labels: &LabelVecs<WDist>,
         r: Rank,
         ws: &mut DijkstraScratch,
     ) -> Result<WeightedRun> {
-        let mut run = WeightedRun {
-            entries: Vec::new(),
-            visited: 0,
-            pruned: 0,
-        };
-        relaxed_pruned_dijkstra(
-            self.h,
-            r,
-            &state.label_ranks,
-            &state.label_dists,
-            ws,
-            &mut run,
-        );
-        Ok(run)
+        let mut sink = Buffer::new(labels);
+        let (visited, pruned) = pruned_dijkstra(self.h, r, ws, &mut sink)?;
+        Ok(WeightedRun {
+            entries: sink.entries,
+            visited,
+            pruned,
+        })
     }
 
     fn commit(
         &self,
-        state: &mut WeightedState,
+        labels: &mut LabelVecs<WDist>,
         batch_first: Rank,
         r: Rank,
         run: WeightedRun,
     ) -> Result<RootCommit> {
-        let mut labeled = 0u32;
         let mut repruned = 0u32;
-        commit_entries(
-            &run.entries,
-            &mut state.label_ranks,
-            &mut state.label_dists,
-            None,
-            batch_first,
-            r,
-            check_label_overflow,
-            &mut labeled,
-            &mut repruned,
-        )?;
-        Ok(RootCommit {
-            stats: RootStats {
-                rank: r,
-                visited: run.visited,
-                labeled,
-                pruned: run.pruned + repruned,
-            },
-            repruned,
-        })
+        let mut sink = InPlace::new(r, labels);
+        commit_entries(&run.entries, &mut sink, None, batch_first, &mut repruned)?;
+        Ok(RootCommit::new(r, run.visited, run.pruned, repruned))
     }
 }
 
-/// One relaxed pruned Dijkstra from `r` against the committed labels,
-/// buffering label candidates in settle order. Mirrors the sequential
-/// loop (same temp preparation, settle-time prune test and lazy resets),
-/// except that the `u32` overflow check is deferred to commit.
-fn relaxed_pruned_dijkstra(
+/// The pruned Dijkstra from `r`, returning its `(visited, pruned)` counts.
+/// The prune test runs at settle time, when the distance from the root is
+/// final, against the temp array of `L(r)` (§4.5 "Querying"); labels are
+/// read and written through `sink`. The scratch is reset lazily — also on
+/// the error path, since it is reused for the next root.
+fn pruned_dijkstra<K: LabelSink<WDist, u64>>(
     h: &WeightedGraph,
     r: Rank,
-    label_ranks: &[Vec<Rank>],
-    label_dists: &[Vec<WDist>],
     ws: &mut DijkstraScratch,
-    run: &mut WeightedRun,
-) {
-    for (idx, &w) in label_ranks[r as usize].iter().enumerate() {
-        ws.temp[w as usize] = label_dists[r as usize][idx] as u64;
+    sink: &mut K,
+) -> Result<(u32, u32)> {
+    let (lr, ld) = sink.label(r);
+    for (&w, &d) in lr.iter().zip(ld) {
+        ws.temp[w as usize] = d as u64;
     }
     ws.heap.clear();
     ws.touched.clear();
     ws.tentative[r as usize] = 0;
     ws.touched.push(r);
     ws.heap.push(Reverse((0, r)));
+    let mut visited = 0u32;
+    let mut pruned = 0u32;
+    let mut outcome = Ok(());
 
     while let Some(Reverse((d, u))) = ws.heap.pop() {
         if d > ws.tentative[u as usize] {
             continue; // stale heap entry
         }
-        run.visited += 1;
+        visited += 1;
 
-        let mut prune = false;
-        let lr = &label_ranks[u as usize];
-        let ld = &label_dists[u as usize];
-        for (idx, &w) in lr.iter().enumerate() {
+        let (ur, ud) = sink.label(u);
+        let prune = ur.iter().zip(ud).any(|(&w, &dw)| {
             let tw = ws.temp[w as usize];
-            if tw != INF_U64 && tw + ld[idx] as u64 <= d {
-                prune = true;
-                break;
-            }
-        }
+            tw != INF_U64 && tw + dw as u64 <= d
+        });
         if prune {
-            run.pruned += 1;
+            pruned += 1;
             continue;
         }
-        run.entries.push((u, d));
+        if let Err(e) = sink.emit(u, d) {
+            outcome = Err(e);
+            break;
+        }
 
         for (w, wt) in h.neighbors(u) {
             let nd = d + wt as u64;
@@ -444,9 +338,10 @@ fn relaxed_pruned_dijkstra(
     for &v in &ws.touched {
         ws.tentative[v as usize] = INF_U64;
     }
-    for &w in label_ranks[r as usize].iter() {
+    for &w in sink.label(r).0 {
         ws.temp[w as usize] = INF_U64;
     }
+    outcome.map(|()| (visited, pruned))
 }
 
 /// An exact distance index over a positively-weighted undirected graph.

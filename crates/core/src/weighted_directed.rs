@@ -7,28 +7,31 @@
 //! out-arcs computes `d(r, u)` and fills `L_IN(u)`; a backward pruned
 //! Dijkstra over in-arcs computes `d(u, r)` and fills `L_OUT(u)`.
 //!
-//! [`WeightedDirectedIndexBuilder::threads`] selects the batch-parallel
-//! path, combining the directed scheme (each worker runs a root's
-//! forward/backward relaxed Dijkstra pair; IN entries commit before OUT
-//! entries) with the weighted scheme (thread-local binary heap, 64-bit
-//! lazily-reset `dist` scratch, commit-time `u32` overflow check). The
-//! result is byte-identical to the sequential build; see [`crate::par`].
+//! Both searches of a root run through the driver of [`crate::par`] at
+//! every thread count, written once and generic over where their label
+//! entries go — the directed scheme (IN entries before OUT entries) with
+//! the weighted one (64-bit lazily-reset `dist` scratch, the `u32` label
+//! check as an entry is appended). At
+//! [`WeightedDirectedIndexBuilder::threads`]`(1)` each root's pair appends
+//! in place; at `k > 1` threads batches of roots run relaxed pairs
+//! concurrently and commit them in rank order with the same-batch
+//! re-prune. The result is byte-identical at every thread count; see
+//! [`crate::par`].
 
 use crate::error::{PllError, Result};
 use crate::order::OrderingStrategy;
 use crate::par::{
-    commit_entries, resolve_threads, run_batched, DijkstraScratch, PrunedSearch, RootCommit,
+    commit_entries, resolve_threads, run_batched, Buffer, DijkstraScratch, InPlace, LabelSink,
+    LabelVecs, PrunedSearch, RootCommit,
 };
-use crate::stats::{ConstructionStats, RootStats};
+use crate::stats::ConstructionStats;
 use crate::storage::{LabelStorage, OwnedLabels, SectionSlice, ViewLabels};
 use crate::types::{Rank, Vertex, WDist};
-use crate::weighted::check_label_overflow;
 use crate::weighted::flatten_weighted;
 use pll_graph::reorder::inverse_permutation;
 use pll_graph::wdigraph::WeightedDigraph;
 use pll_graph::{Xoshiro256pp, INF_U64};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Configures construction of a [`WeightedDirectedPllIndex`].
@@ -55,14 +58,14 @@ impl WeightedDirectedIndexBuilder {
         }
     }
 
-    /// Sets the number of worker threads for batch-parallel construction
-    /// (see [`crate::par`]): `1` (default) is the sequential path, `k > 1`
-    /// runs the forward/backward pruned Dijkstra pairs batch-parallel on
-    /// `k` threads with byte-identical output (including
+    /// Sets the number of worker threads for construction (see
+    /// [`crate::par`]): `1` (default) runs each root's forward/backward
+    /// pruned Dijkstra pair on the calling thread in rank order, `k > 1`
+    /// runs batches of those pairs concurrently on `k` threads with
+    /// byte-identical output (including
     /// [`PllError::WeightedDistanceOverflow`] behaviour), and `0`
-    /// auto-detects one thread per CPU. The Degree ordering and the
-    /// label flatten ride the same knob, output-identically at any
-    /// thread count.
+    /// auto-detects one thread per CPU. The Degree ordering and the label
+    /// flatten ride the same knob, output-identically at any thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -142,210 +145,52 @@ impl WeightedDirectedIndexBuilder {
             threads,
             ..Default::default()
         };
-        if threads > 1 {
-            let mut state = WeightedDirectedState {
-                in_ranks: vec![Vec::new(); n],
-                in_dists: vec![Vec::new(); n],
-                out_ranks: vec![Vec::new(); n],
-                out_dists: vec![Vec::new(); n],
-            };
-            let roots: Vec<Rank> = (0..n as Rank).collect();
-            let search = WeightedDirectedSearch { h: &h };
-            run_batched(
-                &search,
-                &mut state,
-                &roots,
-                threads,
-                &mut stats,
-                None,
-                |_, _, _| Ok(()),
-            )?;
-            stats.pruned_seconds = t1.elapsed().as_secs_f64();
-            let tf = Instant::now();
-            let (in_offsets, in_flat_ranks, in_flat_dists) =
-                flatten_weighted(&state.in_ranks, &state.in_dists, threads)?;
-            let (out_offsets, out_flat_ranks, out_flat_dists) =
-                flatten_weighted(&state.out_ranks, &state.out_dists, threads)?;
-            stats.flatten_seconds = tf.elapsed().as_secs_f64();
-            return Ok(WeightedDirectedPllIndex {
-                order,
-                inv,
-                side_in: OwnedLabels {
-                    offsets: in_offsets,
-                    ranks: in_flat_ranks,
-                    dists: in_flat_dists,
-                    parents: None,
-                },
-                side_out: OwnedLabels {
-                    offsets: out_offsets,
-                    ranks: out_flat_ranks,
-                    dists: out_flat_dists,
-                    parents: None,
-                },
-                stats,
-            });
-        }
-
-        let mut in_ranks: Vec<Vec<Rank>> = vec![Vec::new(); n];
-        let mut in_dists: Vec<Vec<WDist>> = vec![Vec::new(); n];
-        let mut out_ranks: Vec<Vec<Rank>> = vec![Vec::new(); n];
-        let mut out_dists: Vec<Vec<WDist>> = vec![Vec::new(); n];
-
-        let mut tentative: Vec<u64> = vec![INF_U64; n];
-        let mut temp: Vec<u64> = vec![INF_U64; n];
-        let mut touched: Vec<Rank> = Vec::new();
-        let mut heap: BinaryHeap<Reverse<(u64, Rank)>> = BinaryHeap::new();
-
-        // One pruned Dijkstra in a fixed direction; `forward = true` fills
-        // L_IN from d(r, ·), pruning against L_OUT(r) ∩ L_IN(u).
-        #[allow(clippy::too_many_arguments)]
-        fn pruned_dijkstra(
-            h: &WeightedDigraph,
-            r: Rank,
-            forward: bool,
-            root_side_ranks: &[Vec<Rank>],
-            root_side_dists: &[Vec<WDist>],
-            fill_ranks: &mut [Vec<Rank>],
-            fill_dists: &mut [Vec<WDist>],
-            tentative: &mut [u64],
-            temp: &mut [u64],
-            touched: &mut Vec<Rank>,
-            heap: &mut BinaryHeap<Reverse<(u64, Rank)>>,
-            stats: &mut ConstructionStats,
-        ) -> Result<()> {
-            for (idx, &w) in root_side_ranks[r as usize].iter().enumerate() {
-                temp[w as usize] = root_side_dists[r as usize][idx] as u64;
-            }
-            heap.clear();
-            touched.clear();
-            tentative[r as usize] = 0;
-            touched.push(r);
-            heap.push(Reverse((0, r)));
-            while let Some(Reverse((d, u))) = heap.pop() {
-                if d > tentative[u as usize] {
-                    continue; // stale entry
-                }
-                stats.total_visited += 1;
-                let mut prune = false;
-                let lr = &fill_ranks[u as usize];
-                let ld = &fill_dists[u as usize];
-                for (idx, &w) in lr.iter().enumerate() {
-                    let tw = temp[w as usize];
-                    if tw != INF_U64 && tw + ld[idx] as u64 <= d {
-                        prune = true;
-                        break;
-                    }
-                }
-                if prune {
-                    stats.total_pruned += 1;
-                    continue;
-                }
-                if d > WDist::MAX as u64 - 1 {
-                    return Err(PllError::WeightedDistanceOverflow);
-                }
-                fill_ranks[u as usize].push(r);
-                fill_dists[u as usize].push(d as WDist);
-                stats.total_labeled += 1;
-
-                let relax = |heap: &mut BinaryHeap<Reverse<(u64, Rank)>>,
-                             tentative: &mut [u64],
-                             touched: &mut Vec<Rank>,
-                             w: Rank,
-                             wt: u32| {
-                    let nd = d + wt as u64;
-                    if nd < tentative[w as usize] {
-                        if tentative[w as usize] == INF_U64 {
-                            touched.push(w);
-                        }
-                        tentative[w as usize] = nd;
-                        heap.push(Reverse((nd, w)));
-                    }
-                };
-                if forward {
-                    for (w, wt) in h.out_neighbors(u) {
-                        relax(heap, tentative, touched, w, wt);
-                    }
-                } else {
-                    for (w, wt) in h.in_neighbors(u) {
-                        relax(heap, tentative, touched, w, wt);
-                    }
-                }
-            }
-            for &v in touched.iter() {
-                tentative[v as usize] = INF_U64;
-            }
-            for &w in root_side_ranks[r as usize].iter() {
-                temp[w as usize] = INF_U64;
-            }
-            Ok(())
-        }
-
-        for r in 0..n as Rank {
-            pruned_dijkstra(
-                &h,
-                r,
-                true,
-                &out_ranks,
-                &out_dists,
-                &mut in_ranks,
-                &mut in_dists,
-                &mut tentative,
-                &mut temp,
-                &mut touched,
-                &mut heap,
-                &mut stats,
-            )?;
-            pruned_dijkstra(
-                &h,
-                r,
-                false,
-                &in_ranks,
-                &in_dists,
-                &mut out_ranks,
-                &mut out_dists,
-                &mut tentative,
-                &mut temp,
-                &mut touched,
-                &mut heap,
-                &mut stats,
-            )?;
-            stats.pruned_roots += 1;
-        }
+        let mut state = WeightedDirectedState {
+            inn: LabelVecs::new(n),
+            out: LabelVecs::new(n),
+        };
+        let roots: Vec<Rank> = (0..n as Rank).collect();
+        let search = WeightedDirectedSearch { h: &h };
+        run_batched(
+            &search,
+            &mut state,
+            &roots,
+            threads,
+            &mut stats,
+            None,
+            |_, _, _| Ok(()),
+        )?;
         stats.pruned_seconds = t1.elapsed().as_secs_f64();
 
         let tf = Instant::now();
-        let (in_offsets, in_flat_ranks, in_flat_dists) = flatten_weighted(&in_ranks, &in_dists, 1)?;
-        let (out_offsets, out_flat_ranks, out_flat_dists) =
-            flatten_weighted(&out_ranks, &out_dists, 1)?;
+        let side = |labels: &LabelVecs<WDist>| -> Result<OwnedLabels<WDist>> {
+            let (offsets, ranks, dists) = flatten_weighted(&labels.ranks, &labels.dists, threads)?;
+            Ok(OwnedLabels {
+                offsets,
+                ranks,
+                dists,
+                parents: None,
+            })
+        };
+        let side_in = side(&state.inn)?;
+        let side_out = side(&state.out)?;
         stats.flatten_seconds = tf.elapsed().as_secs_f64();
-
         Ok(WeightedDirectedPllIndex {
             order,
             inv,
-            side_in: OwnedLabels {
-                offsets: in_offsets,
-                ranks: in_flat_ranks,
-                dists: in_flat_dists,
-                parents: None,
-            },
-            side_out: OwnedLabels {
-                offsets: out_offsets,
-                ranks: out_flat_ranks,
-                dists: out_flat_dists,
-                parents: None,
-            },
+            side_in,
+            side_out,
             stats,
         })
     }
 }
 
-/// Committed two-sided label state of the batch-parallel weighted
-/// directed build.
+/// Two-sided label state of the weighted directed build.
 struct WeightedDirectedState {
-    in_ranks: Vec<Vec<Rank>>,
-    in_dists: Vec<Vec<WDist>>,
-    out_ranks: Vec<Vec<Rank>>,
-    out_dists: Vec<Vec<WDist>>,
+    /// `L_IN`: hubs `w` with `d(w → v)`, filled by forward searches.
+    inn: LabelVecs<WDist>,
+    /// `L_OUT`: hubs `w` with `d(v → w)`, filled by backward searches.
+    out: LabelVecs<WDist>,
 }
 
 /// Buffered output of one root's forward/backward relaxed Dijkstra pair
@@ -360,9 +205,9 @@ struct WeightedDirectedRun {
     pruned: u32,
 }
 
-/// The weighted directed [`PrunedSearch`]: per root, a forward relaxed
-/// pruned Dijkstra over out-arcs followed by the mirrored backward
-/// Dijkstra, each with settle-time pruning against committed labels.
+/// The weighted directed [`PrunedSearch`]: per root, a forward pruned
+/// Dijkstra over out-arcs followed by the mirrored backward Dijkstra, each
+/// with settle-time pruning.
 struct WeightedDirectedSearch<'g> {
     h: &'g WeightedDigraph,
 }
@@ -376,45 +221,35 @@ impl PrunedSearch for WeightedDirectedSearch<'_> {
         DijkstraScratch::new(self.h.num_vertices())
     }
 
+    fn search_in_place(
+        &self,
+        state: &mut WeightedDirectedState,
+        r: Rank,
+        ws: &mut DijkstraScratch,
+    ) -> Result<RootCommit> {
+        let mut sink = InPlace::new(r, &mut state.inn);
+        let (vf, pf) = pruned_dijkstra(self.h, r, true, &state.out, ws, &mut sink)?;
+        let mut sink = InPlace::new(r, &mut state.out);
+        let (vb, pb) = pruned_dijkstra(self.h, r, false, &state.inn, ws, &mut sink)?;
+        Ok(RootCommit::new(r, vf + vb, pf + pb, 0))
+    }
+
     fn search(
         &self,
         state: &WeightedDirectedState,
         r: Rank,
         ws: &mut DijkstraScratch,
     ) -> Result<WeightedDirectedRun> {
-        let mut run = WeightedDirectedRun {
-            in_entries: Vec::new(),
-            out_entries: Vec::new(),
-            visited: 0,
-            pruned: 0,
-        };
-        relaxed_directed_dijkstra(
-            self.h,
-            r,
-            true,
-            &state.out_ranks,
-            &state.out_dists,
-            &state.in_ranks,
-            &state.in_dists,
-            ws,
-            &mut run.in_entries,
-            &mut run.visited,
-            &mut run.pruned,
-        );
-        relaxed_directed_dijkstra(
-            self.h,
-            r,
-            false,
-            &state.in_ranks,
-            &state.in_dists,
-            &state.out_ranks,
-            &state.out_dists,
-            ws,
-            &mut run.out_entries,
-            &mut run.visited,
-            &mut run.pruned,
-        );
-        Ok(run)
+        let mut fwd = Buffer::new(&state.inn);
+        let (vf, pf) = pruned_dijkstra(self.h, r, true, &state.out, ws, &mut fwd)?;
+        let mut bwd = Buffer::new(&state.out);
+        let (vb, pb) = pruned_dijkstra(self.h, r, false, &state.inn, ws, &mut bwd)?;
+        Ok(WeightedDirectedRun {
+            in_entries: fwd.entries,
+            out_entries: bwd.entries,
+            visited: vf + vb,
+            pruned: pf + pb,
+        })
     }
 
     fn commit(
@@ -424,93 +259,75 @@ impl PrunedSearch for WeightedDirectedSearch<'_> {
         r: Rank,
         run: WeightedDirectedRun,
     ) -> Result<RootCommit> {
-        let mut labeled = 0u32;
         let mut repruned = 0u32;
-        // IN entries first, then OUT, matching the sequential
+        // IN entries first, then OUT, matching the in-place
         // forward-then-backward order; overflow is checked on survivors
-        // only, which are exactly the sequential build's labeled entries.
+        // only, which are exactly the in-place search's labeled entries.
+        let mut sink = InPlace::new(r, &mut state.inn);
         commit_entries(
             &run.in_entries,
-            &mut state.in_ranks,
-            &mut state.in_dists,
-            Some((&state.out_ranks, &state.out_dists)),
+            &mut sink,
+            Some(&state.out),
             batch_first,
-            r,
-            check_label_overflow,
-            &mut labeled,
             &mut repruned,
         )?;
+        let mut sink = InPlace::new(r, &mut state.out);
         commit_entries(
             &run.out_entries,
-            &mut state.out_ranks,
-            &mut state.out_dists,
-            Some((&state.in_ranks, &state.in_dists)),
+            &mut sink,
+            Some(&state.inn),
             batch_first,
-            r,
-            check_label_overflow,
-            &mut labeled,
             &mut repruned,
         )?;
-        Ok(RootCommit {
-            stats: RootStats {
-                rank: r,
-                visited: run.visited,
-                labeled,
-                pruned: run.pruned + repruned,
-            },
-            repruned,
-        })
+        Ok(RootCommit::new(r, run.visited, run.pruned, repruned))
     }
 }
 
-/// One relaxed pruned Dijkstra in a fixed direction, buffering label
-/// candidates instead of publishing them. Mirrors the sequential
-/// `pruned_dijkstra` (same temp preparation, settle-time prune test and
-/// lazy resets), with the `u32` overflow check deferred to commit;
-/// `forward = true` explores out-arcs and buffers `L_IN` candidates.
-#[allow(clippy::too_many_arguments)]
-fn relaxed_directed_dijkstra(
+/// One pruned Dijkstra from `r` in a fixed direction, with settle-time
+/// pruning against `root_side` and the label of `u` read through `sink`;
+/// `forward = true` explores out-arcs, computes `d(r, u)` and labels
+/// `L_IN(u)`, pruning against `L_OUT(r) ∩ L_IN(u)`. Returns its
+/// `(visited, pruned)` counts; the scratch is reset lazily, also on the error
+/// path.
+fn pruned_dijkstra<K: LabelSink<WDist, u64>>(
     h: &WeightedDigraph,
     r: Rank,
     forward: bool,
-    root_side_ranks: &[Vec<Rank>],
-    root_side_dists: &[Vec<WDist>],
-    fill_ranks: &[Vec<Rank>],
-    fill_dists: &[Vec<WDist>],
+    root_side: &LabelVecs<WDist>,
     ws: &mut DijkstraScratch,
-    entries: &mut Vec<(Rank, u64)>,
-    visited: &mut u32,
-    pruned: &mut u32,
-) {
-    for (idx, &w) in root_side_ranks[r as usize].iter().enumerate() {
-        ws.temp[w as usize] = root_side_dists[r as usize][idx] as u64;
+    sink: &mut K,
+) -> Result<(u32, u32)> {
+    let (lr, ld) = root_side.label(r);
+    for (&w, &d) in lr.iter().zip(ld) {
+        ws.temp[w as usize] = d as u64;
     }
     ws.heap.clear();
     ws.touched.clear();
     ws.tentative[r as usize] = 0;
     ws.touched.push(r);
     ws.heap.push(Reverse((0, r)));
+    let mut visited = 0u32;
+    let mut pruned = 0u32;
+    let mut outcome = Ok(());
 
     while let Some(Reverse((d, u))) = ws.heap.pop() {
         if d > ws.tentative[u as usize] {
             continue; // stale entry
         }
-        *visited += 1;
-        let mut prune = false;
-        let lr = &fill_ranks[u as usize];
-        let ld = &fill_dists[u as usize];
-        for (idx, &w) in lr.iter().enumerate() {
+        visited += 1;
+        let (ur, ud) = sink.label(u);
+        let prune = ur.iter().zip(ud).any(|(&w, &dw)| {
             let tw = ws.temp[w as usize];
-            if tw != INF_U64 && tw + ld[idx] as u64 <= d {
-                prune = true;
-                break;
-            }
-        }
+            tw != INF_U64 && tw + dw as u64 <= d
+        });
         if prune {
-            *pruned += 1;
+            pruned += 1;
             continue;
         }
-        entries.push((u, d));
+        if let Err(e) = sink.emit(u, d) {
+            outcome = Err(e);
+            break;
+        }
 
         let mut relax = |w: Rank, wt: u32| {
             let nd = d + wt as u64;
@@ -535,9 +352,10 @@ fn relaxed_directed_dijkstra(
     for &v in ws.touched.iter() {
         ws.tentative[v as usize] = INF_U64;
     }
-    for &w in root_side_ranks[r as usize].iter() {
+    for &w in lr {
         ws.temp[w as usize] = INF_U64;
     }
+    outcome.map(|()| (visited, pruned))
 }
 
 /// Exact distance index over a positively-weighted digraph.
@@ -735,6 +553,7 @@ impl WeightedDirectedPllIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BinaryHeap;
 
     /// Directed Dijkstra over out-arcs for ground truth.
     fn dijkstra_directed(g: &WeightedDigraph, s: Vertex) -> Vec<u64> {
