@@ -82,14 +82,10 @@ pub const DURABLE_WRITE_SCOPE: &[&str] =
 pub const LOCK_HYGIENE_SCOPE: &[&str] = &["crates/server/src/"];
 
 /// Frame-handling paths that must not panic: the whole server crate plus
-/// the CI-smoke bench binaries (a panic backtrace mid-smoke hides the
+/// the CI-smoke load generator (a panic backtrace mid-smoke hides the
 /// actual I/O failure the run hit).
-pub const PANIC_HYGIENE_SCOPE: &[&str] = &[
-    "crates/server/src/",
-    "crates/bench/src/bin/serve_load.rs",
-    "crates/bench/src/bin/bench_query.rs",
-    "crates/bench/src/bin/bench_construction.rs",
-];
+pub const PANIC_HYGIENE_SCOPE: &[&str] =
+    &["crates/server/src/", "crates/bench/src/bin/serve_load.rs"];
 
 /// The audited home for serve-side scalar counters. A bare `AtomicU64`
 /// anywhere else in the server crate is state the STATS/Prometheus

@@ -230,10 +230,10 @@ fn panics_in_test_modules_and_bench_lib_pass() {
     let test_src =
         "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        x.unwrap();\n    }\n}\n";
     assert!(scan_source("crates/server/src/lib.rs", test_src).is_clean());
-    // Only the three smoke binaries are in scope, not the bench library.
+    // Only the smoke load generator is in scope, not the bench library.
     let src = "fn f() {\n    x.unwrap();\n}\n";
     assert!(scan_source("crates/bench/src/lib.rs", src).is_clean());
-    // But the smoke binaries are.
+    // But the load generator is.
     assert_eq!(
         rules(&scan_source("crates/bench/src/bin/serve_load.rs", src)),
         ["panic-hygiene"]
@@ -387,6 +387,32 @@ fn tokens_inside_block_comments_do_not_fire() {
 // ---------------------------------------------------------------------
 // self-test: the committed tree is clean under --deny
 // ---------------------------------------------------------------------
+
+#[test]
+fn every_scoped_path_exists_in_the_workspace() {
+    // A rule scoped to a path that no longer exists audits nothing, and
+    // says nothing about it: pin every scope entry to a real file or
+    // directory.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..");
+    let scoped = pll_audit::UNSAFE_ALLOWLIST
+        .iter()
+        .chain(pll_audit::DURABLE_WRITE_SCOPE)
+        .chain(pll_audit::LOCK_HYGIENE_SCOPE)
+        .chain(pll_audit::PANIC_HYGIENE_SCOPE)
+        .chain([
+            &pll_audit::DURABLE_WRITE_IMPL,
+            &pll_audit::METRICS_HOME,
+            &pll_audit::METRICS_SCOPE,
+        ]);
+    for path in scoped {
+        assert!(
+            root.join(path).exists(),
+            "audit scope entry `{path}` names nothing in the workspace"
+        );
+    }
+}
 
 #[test]
 fn committed_tree_is_clean_under_deny() {

@@ -210,33 +210,6 @@ fn group_thousands(mut x: u64) -> String {
     parts.join(",")
 }
 
-/// Answers a batch of distance queries on `threads` scoped threads (the
-/// index is `Sync`; queries are read-only). §4.5 notes that thread-level
-/// parallelism composes with the labeling — this utility demonstrates it on
-/// the query side and backs the throughput numbers in EXPERIMENTS.md.
-pub fn par_distances(
-    index: &pll_core::PllIndex,
-    pairs: &[(Vertex, Vertex)],
-    threads: usize,
-) -> Vec<Option<u32>> {
-    let threads = threads.max(1);
-    let chunk = pairs.len().div_ceil(threads);
-    if threads == 1 || pairs.len() < 2 * threads {
-        return pairs.iter().map(|&(s, t)| index.distance(s, t)).collect();
-    }
-    let mut out: Vec<Option<u32>> = vec![None; pairs.len()];
-    std::thread::scope(|scope| {
-        for (pair_chunk, out_chunk) in pairs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (slot, &(s, t)) in out_chunk.iter_mut().zip(pair_chunk.iter()) {
-                    *slot = index.distance(s, t);
-                }
-            });
-        }
-    });
-    out
-}
-
 /// Generates a dataset, printing progress to stderr.
 pub fn load_dataset(spec: &DatasetSpec, scale: u32) -> CsrGraph {
     eprintln!(
@@ -376,22 +349,6 @@ mod tests {
         let (avg, sink) = measure_avg_query_seconds(&pairs, |s, t| Some(s + t));
         assert!(avg >= 0.0);
         assert!(sink > 0);
-    }
-
-    #[test]
-    fn par_distances_matches_sequential() {
-        let g = pll_graph::gen::barabasi_albert(400, 3, 5).unwrap();
-        let index = pll_core::IndexBuilder::new()
-            .bit_parallel_roots(4)
-            .build(&g)
-            .unwrap();
-        let pairs = random_pairs(400, 500, 9);
-        let seq: Vec<Option<u32>> = pairs.iter().map(|&(s, t)| index.distance(s, t)).collect();
-        for threads in [1, 2, 4] {
-            assert_eq!(par_distances(&index, &pairs, threads), seq);
-        }
-        // Tiny batch falls back to sequential.
-        assert_eq!(par_distances(&index, &pairs[..3], 8), seq[..3].to_vec());
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Runtime-selectable query kernels: the branch-heavy scalar reference
-//! merge-join and branchless variants of it, shared by every index family
-//! (§3.3 of the paper; the ROADMAP's "as fast as the hardware allows"
-//! item).
+//! The merge-join query kernels: the branch-heavy scalar reference and
+//! the branchless kernel every index family answers queries with (§3.3
+//! of the paper; the ROADMAP's "as fast as the hardware allows" item).
 //!
 //! Every distance query bottoms out in a two-pointer merge over two
 //! sorted, sentinel-terminated `(hub rank, distance)` arrays. The scalar
 //! kernel ([`merge_query_scalar`]) compares and branches three ways per
 //! step; on the power-law labels PLL produces the branch history is
 //! near-random, so the mispredict penalty dominates. The branchless
-//! kernels ([`merge_query_branchless`], [`merge_query_unrolled`]) replace
-//! the three-way branch with arithmetic on the comparison results:
+//! kernel ([`merge_query_branchless`]) replaces the three-way branch
+//! with arithmetic on the comparison results:
 //!
 //! * pointer advance: `i += (ru <= rv)`, `j += (rv <= ru)` — both sides
 //!   advance on a tie, one side otherwise, no branch;
@@ -19,13 +18,12 @@
 //!   on their sentinel (the sentinel is all-ones), one well-predicted
 //!   exit branch per step instead of three.
 //!
-//! The selected kernel is a process-wide [`KernelKind`], initialised from
-//! the `PLL_KERNEL` environment variable (`scalar` | `branchless` |
-//! `unrolled`, default `branchless`) and overridable with [`set_kernel`]
-//! — the equivalence tests and the `query_kernel` bench pin each kernel
-//! explicitly. Every variant returns bit-identical answers to the scalar
-//! reference on every input; `tests` and the proptest suite in
-//! `tests/kernel_equivalence.rs` enforce that.
+//! [`merge_query`], [`merge_query_weighted`] and
+//! [`merge_query_weighted_dist8`] are the query path and call their
+//! branchless kernel directly. The `*_scalar` kernels stay public as the
+//! `well_formed` fallback and as the reference the branchless kernels
+//! must match bit for bit on every input; `tests` and the proptest suite
+//! in `tests/kernel_equivalence.rs` enforce that.
 //!
 //! # Safety
 //!
@@ -45,83 +43,29 @@
 #![allow(unsafe_code)]
 
 use crate::types::{Dist, Rank, INF_QUERY, RANK_SENTINEL};
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which merge-join implementation answers queries process-wide.
+/// The merge-join implementation that answers queries: there is one.
+/// It exists so callers that report the kernel in their output (the
+/// benchmark's trace record) have a name to print.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelKind {
-    /// The branch-heavy three-way-compare reference kernel.
-    Scalar = 0,
     /// Branchless advance + conditional-move select, unchecked reads.
-    Branchless = 1,
-    /// [`KernelKind::Branchless`] with the inner step unrolled 4-wide.
-    Unrolled = 2,
+    Branchless,
 }
 
 impl KernelKind {
-    /// Parses a kernel name as accepted by `PLL_KERNEL` and
-    /// `--kernel`: `scalar`, `branchless` or `unrolled`.
-    pub fn from_name(name: &str) -> Option<KernelKind> {
-        match name {
-            "scalar" => Some(KernelKind::Scalar),
-            "branchless" => Some(KernelKind::Branchless),
-            "unrolled" => Some(KernelKind::Unrolled),
-            _ => None,
-        }
-    }
-
-    /// The name [`KernelKind::from_name`] parses back.
-    pub fn name(self) -> &'static str {
+    /// The kernel's name as records print it.
+    pub const fn name(self) -> &'static str {
         match self {
-            KernelKind::Scalar => "scalar",
             KernelKind::Branchless => "branchless",
-            KernelKind::Unrolled => "unrolled",
         }
     }
 }
 
-/// Sentinel for "not yet initialised from the environment".
-const KERNEL_UNSET: u8 = u8::MAX;
-
-static ACTIVE_KERNEL: AtomicU8 = AtomicU8::new(KERNEL_UNSET);
-
-fn decode(raw: u8) -> KernelKind {
-    match raw {
-        0 => KernelKind::Scalar,
-        2 => KernelKind::Unrolled,
-        _ => KernelKind::Branchless,
-    }
-}
-
-/// The kernel answering queries right now. First use reads `PLL_KERNEL`
-/// (default: branchless; unknown names fall back to branchless so a typo
-/// degrades to the default rather than a crash).
-#[inline]
-pub fn active_kernel() -> KernelKind {
-    // ORDERING: Relaxed — a one-byte kernel selector with no data
-    // published through it; racing first-readers may both consult the
-    // env var but store the same value, and any interleaving is a
-    // valid kernel choice.
-    let raw = ACTIVE_KERNEL.load(Ordering::Relaxed);
-    if raw != KERNEL_UNSET {
-        return decode(raw);
-    }
-    let kind = std::env::var("PLL_KERNEL")
-        .ok()
-        .and_then(|name| KernelKind::from_name(&name))
-        .unwrap_or(KernelKind::Branchless);
-    // ORDERING: Relaxed — see the load above; idempotent publication
-    // of a plain byte.
-    ACTIVE_KERNEL.store(kind as u8, Ordering::Relaxed);
-    kind
-}
-
-/// Selects the process-wide query kernel (tests and benches; servers use
-/// `PLL_KERNEL`).
-pub fn set_kernel(kind: KernelKind) {
-    // ORDERING: Relaxed — same selector-byte discipline as
-    // `active_kernel`.
-    ACTIVE_KERNEL.store(kind as u8, Ordering::Relaxed);
+/// The kernel answering queries: always [`KernelKind::Branchless`].
+/// Kept so a record can name the kernel it measured.
+pub const fn active_kernel() -> KernelKind {
+    KernelKind::Branchless
 }
 
 /// The O(1) entry guard the branchless kernels' unchecked reads rely on;
@@ -133,30 +77,20 @@ fn well_formed(ranks: &[Rank], dists_len: usize) -> bool {
 
 /// Merge-join over two sentinel-terminated unweighted labels (`u8`
 /// distances, summed in `u32`): [`INF_QUERY`] when no common hub.
-/// Dispatches to the [`active_kernel`].
 #[inline]
 pub fn merge_query(ur: &[Rank], ud: &[Dist], vr: &[Rank], vd: &[Dist]) -> u32 {
-    match active_kernel() {
-        KernelKind::Scalar => merge_query_scalar(ur, ud, vr, vd),
-        KernelKind::Branchless => merge_query_branchless(ur, ud, vr, vd),
-        KernelKind::Unrolled => merge_query_unrolled(ur, ud, vr, vd),
-    }
+    merge_query_branchless(ur, ud, vr, vd)
 }
 
 /// Merge-join over two sentinel-terminated *weighted* labels (`u32`
 /// distances, summed in `u64`): `u64::MAX` when no common hub. Shared by
 /// the weighted and weighted-directed indices on both storage backends.
-/// Dispatches to the [`active_kernel`].
 #[inline]
 pub fn merge_query_weighted(ar: &[Rank], ad: &[u32], br: &[Rank], bd: &[u32]) -> u64 {
-    match active_kernel() {
-        KernelKind::Scalar => merge_query_weighted_scalar(ar, ad, br, bd),
-        KernelKind::Branchless => merge_query_weighted_branchless(ar, ad, br, bd),
-        KernelKind::Unrolled => merge_query_weighted_unrolled(ar, ad, br, bd),
-    }
+    merge_query_weighted_branchless(ar, ad, br, bd)
 }
 
-/// Scalar reference kernel (unweighted). Every other unweighted kernel
+/// Scalar reference kernel (unweighted). [`merge_query_branchless`]
 /// must return exactly this function's answers.
 #[inline]
 pub fn merge_query_scalar(ur: &[Rank], ud: &[Dist], vr: &[Rank], vd: &[Dist]) -> u32 {
@@ -268,71 +202,6 @@ pub fn merge_query_weighted_branchless(ar: &[Rank], ad: &[u32], br: &[Rank], bd:
             best = if cand < best { cand } else { best };
             i += (ru <= rv) as usize;
             j += (rv <= ru) as usize;
-        }
-    }
-    best
-}
-
-/// Four-wide unrolled body shared by the unrolled kernels: one step of
-/// the branchless merge, repeated by the caller.
-macro_rules! unrolled_step {
-    ($ur:ident, $ud:ident, $vr:ident, $vd:ident, $i:ident, $j:ident, $best:ident,
-     $acc:ty, $inf:expr) => {
-        let ru = *$ur.get_unchecked($i);
-        let rv = *$vr.get_unchecked($j);
-        if ru & rv == RANK_SENTINEL {
-            break;
-        }
-        let d = *$ud.get_unchecked($i) as $acc + *$vd.get_unchecked($j) as $acc;
-        let cand = if ru == rv { d } else { $inf };
-        $best = if cand < $best { cand } else { $best };
-        $i += (ru <= rv) as usize;
-        $j += (rv <= ru) as usize;
-    };
-}
-
-/// [`merge_query_branchless`] with the inner step unrolled 4-wide, so
-/// short labels resolve without looping and long ones amortise the loop
-/// back-edge over four advances.
-#[inline]
-pub fn merge_query_unrolled(ur: &[Rank], ud: &[Dist], vr: &[Rank], vd: &[Dist]) -> u32 {
-    if !well_formed(ur, ud.len()) || !well_formed(vr, vd.len()) {
-        return merge_query_scalar(ur, ud, vr, vd);
-    }
-    let mut i = 0usize;
-    let mut j = 0usize;
-    let mut best = INF_QUERY;
-    // SAFETY: as in `merge_query_branchless`; each unrolled step
-    // re-checks the sentinel before reading, so the unrolling changes
-    // no bound.
-    unsafe {
-        loop {
-            unrolled_step!(ur, ud, vr, vd, i, j, best, u32, INF_QUERY);
-            unrolled_step!(ur, ud, vr, vd, i, j, best, u32, INF_QUERY);
-            unrolled_step!(ur, ud, vr, vd, i, j, best, u32, INF_QUERY);
-            unrolled_step!(ur, ud, vr, vd, i, j, best, u32, INF_QUERY);
-        }
-    }
-    best
-}
-
-/// [`merge_query_weighted_branchless`] with the inner step unrolled
-/// 4-wide.
-#[inline]
-pub fn merge_query_weighted_unrolled(ar: &[Rank], ad: &[u32], br: &[Rank], bd: &[u32]) -> u64 {
-    if !well_formed(ar, ad.len()) || !well_formed(br, bd.len()) {
-        return merge_query_weighted_scalar(ar, ad, br, bd);
-    }
-    let mut i = 0usize;
-    let mut j = 0usize;
-    let mut best = u64::MAX;
-    // SAFETY: as in `merge_query_weighted_branchless`.
-    unsafe {
-        loop {
-            unrolled_step!(ar, ad, br, bd, i, j, best, u64, u64::MAX);
-            unrolled_step!(ar, ad, br, bd, i, j, best, u64, u64::MAX);
-            unrolled_step!(ar, ad, br, bd, i, j, best, u64, u64::MAX);
-            unrolled_step!(ar, ad, br, bd, i, j, best, u64, u64::MAX);
         }
     }
     best
@@ -457,9 +326,8 @@ pub fn merge_query_weighted_dist8_branchless(
     best
 }
 
-/// Dist8 merge-join dispatching to the [`active_kernel`] (the unrolled
-/// kernel shares the branchless Dist8 implementation — the escape cold
-/// path defeats straight-line 4-wide unrolling).
+/// Dist8 merge-join: the query path's entry point over two Dist8
+/// labels (see [`merge_query_weighted_dist8_scalar`] for the arguments).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn merge_query_weighted_dist8(
@@ -472,14 +340,7 @@ pub fn merge_query_weighted_dist8(
     esc_pos: &[u32],
     esc_val: &[u32],
 ) -> u64 {
-    match active_kernel() {
-        KernelKind::Scalar => {
-            merge_query_weighted_dist8_scalar(ar, ad, a_base, br, bd, b_base, esc_pos, esc_val)
-        }
-        KernelKind::Branchless | KernelKind::Unrolled => {
-            merge_query_weighted_dist8_branchless(ar, ad, a_base, br, bd, b_base, esc_pos, esc_val)
-        }
-    }
+    merge_query_weighted_dist8_branchless(ar, ad, a_base, br, bd, b_base, esc_pos, esc_val)
 }
 
 // ---------------------------------------------------------------------
@@ -554,10 +415,8 @@ mod tests {
             let (vr, vd) = label(&b);
             let want = merge_query_scalar(&ur, &ud, &vr, &vd);
             assert_eq!(merge_query_branchless(&ur, &ud, &vr, &vd), want);
-            assert_eq!(merge_query_unrolled(&ur, &ud, &vr, &vd), want);
             // And symmetrically.
             assert_eq!(merge_query_branchless(&vr, &vd, &ur, &ud), want);
-            assert_eq!(merge_query_unrolled(&vr, &vd, &ur, &ud), want);
         }
     }
 
@@ -574,7 +433,6 @@ mod tests {
             let (br, bd) = wlabel(&b);
             let want = merge_query_weighted_scalar(&ar, &ad, &br, &bd);
             assert_eq!(merge_query_weighted_branchless(&ar, &ad, &br, &bd), want);
-            assert_eq!(merge_query_weighted_unrolled(&ar, &ad, &br, &bd), want);
         }
     }
 
@@ -628,30 +486,6 @@ mod tests {
         ] {
             assert_eq!(f(&ar, &ad, 0, &br, &bd, 3, &[], &[]), 3);
         }
-    }
-
-    #[test]
-    fn kernel_selection_roundtrips() {
-        assert_eq!(KernelKind::from_name("scalar"), Some(KernelKind::Scalar));
-        assert_eq!(
-            KernelKind::from_name("branchless"),
-            Some(KernelKind::Branchless)
-        );
-        assert_eq!(
-            KernelKind::from_name("unrolled"),
-            Some(KernelKind::Unrolled)
-        );
-        assert_eq!(KernelKind::from_name("avx512"), None);
-        for kind in [
-            KernelKind::Scalar,
-            KernelKind::Branchless,
-            KernelKind::Unrolled,
-        ] {
-            assert_eq!(KernelKind::from_name(kind.name()), Some(kind));
-            set_kernel(kind);
-            assert_eq!(active_kernel(), kind);
-        }
-        set_kernel(KernelKind::Branchless);
     }
 
     #[test]

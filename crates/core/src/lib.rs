@@ -71,7 +71,7 @@ pub use directed::{DirectedIndexBuilder, DirectedPllIndex, DirectedPllIndexView}
 pub use dynamic::{DynamicIndex, OverlaySnapshot, UpdateStats};
 pub use error::{PllError, Result};
 pub use index::{PllIndex, PllIndexView};
-pub use kernel::{active_kernel, set_kernel, KernelKind};
+pub use kernel::{active_kernel, KernelKind};
 pub use label::{LabelSet, LabelSetView};
 pub use order::OrderingStrategy;
 pub use par::{run_batched, PrunedSearch, RootCommit};

@@ -19,7 +19,7 @@ pub struct RootStats {
 ///
 /// The construction pipeline is timed phase by phase so the Amdahl
 /// accounting of the parallel path is visible end to end (builder → CLI →
-/// `BENCH_construction.json`): ordering (§4.4), relabelling into rank
+/// v2 file header → the `benchmark/` trace record): ordering (§4.4), relabelling into rank
 /// space (§4.5 "Sorting Labels"), the searches (bit-parallel §5.4 +
 /// pruned §4.2), and the final label flatten into the sentinel-terminated
 /// arena (§4.5 "Sentinel").

@@ -1623,5 +1623,52 @@ mod tests {
         std::fs::remove_file(&v1_path).ok();
         std::fs::remove_file(&v2_path).ok();
         assert!(AnyIndex::open(&v2_path).is_err());
+
+        // The other served layouts through a file too (mapped, not read,
+        // under the `mmap` feature): the weighted arena at both widths
+        // and the directed index, each answering like its owned source.
+        let open_written = |name: &str, write: &dyn Fn(std::fs::File) -> Result<()>| {
+            let path = dir.join(format!("pll_v2test_{name}_{}.idx", std::process::id()));
+            write(std::fs::File::create(&path).unwrap()).unwrap();
+            let any = AnyIndex::open(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            any
+        };
+        let mut rng = pll_graph::Xoshiro256pp::seed_from_u64(11);
+        let wedges: Vec<(u32, u32, u32)> = g
+            .edges()
+            .map(|(u, v)| (u, v, rng.next_below(40) as u32 + 1))
+            .collect();
+        let wg = pll_graph::wgraph::WeightedGraph::from_edges(60, &wedges).unwrap();
+        let widx = WeightedIndexBuilder::new().build(&wg).unwrap();
+        let wide = open_written("weighted_u32", &|f| {
+            save_v2_weighted_index_with(&widx, f, false)
+        });
+        let narrow = open_written("weighted_u8", &|f| {
+            save_v2_weighted_index_with(&widx, f, true)
+        });
+        assert!(matches!(wide, AnyIndex::WeightedView(_)));
+        assert!(matches!(narrow, AnyIndex::WeightedDist8View(_)));
+        // Every edge forward, every other one backward too.
+        let mut arcs: Vec<(u32, u32)> = g
+            .edges()
+            .flat_map(|(u, v)| [(u, v), (v, u)].into_iter().take(1 + (u + v) as usize % 2))
+            .collect();
+        arcs.sort_unstable();
+        let dg = pll_graph::CsrDigraph::from_edges(60, &arcs).unwrap();
+        let didx = DirectedIndexBuilder::new().build(&dg).unwrap();
+        let directed = open_written("directed", &|f| save_v2_directed_index(&didx, f));
+        assert!(matches!(directed, AnyIndex::DirectedView(_)));
+        for s in 0..60u32 {
+            for t in (0..60u32).step_by(3) {
+                assert_eq!(wide.distance(s, t), widx.distance(s, t), "u32 ({s}, {t})");
+                assert_eq!(narrow.distance(s, t), widx.distance(s, t), "u8 ({s}, {t})");
+                assert_eq!(
+                    directed.distance(s, t),
+                    didx.distance(s, t).map(u64::from),
+                    "directed ({s}, {t})"
+                );
+            }
+        }
     }
 }

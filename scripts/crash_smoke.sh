@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Crash-recovery gate for the durable dynamic-serving path, and the
-# generator of BENCH_recovery.json. The acceptance criterion is
+# generator of BENCH_recovery.json. What it requires is
 # end-to-end equivalence: for every fault-injection site in the
 # durability pipeline, kill -9 the server (std::process::abort at the
 # site), restart it against the same --wal journal, and the recovered

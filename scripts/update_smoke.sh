@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI correctness gate for the dynamic-update subsystem: the acceptance
-# criterion is that after any sequence of edge insertions the served
+# CI correctness gate for the dynamic-update subsystem: it requires
+# that after any sequence of edge insertions the served
 # answers are exactly those of a from-scratch rebuild of the updated
 # graph — at EVERY background-flatten cadence — and that the epoch
 # publish is atomic and observable.

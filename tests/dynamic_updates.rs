@@ -20,7 +20,7 @@ fn rebuild(n: usize, edges: &[Edge], bp_roots: usize) -> pruned_landmark_labelin
         .unwrap()
 }
 
-/// Answer-stream equality: the acceptance criterion's "byte-equal to a
+/// Answer-stream equality: the required "byte-equal to a
 /// from-scratch rebuild", rendered as the exact text `pll query` would
 /// print for every pair.
 fn assert_answers_match(dyn_idx: &DynamicIndex, rebuilt: &pruned_landmark_labeling::pll::PllIndex) {

@@ -1,23 +1,24 @@
 //! Equivalence suite for the merge-join query kernels.
 //!
-//! The branchless and unrolled kernels (and the Dist8 escape-sidecar
-//! variants) must answer **byte-identically** to the scalar reference
-//! kernel — on all four index variants, through both the owned and the
-//! zero-copy (v2) storage backends. Two layers:
+//! The branchless kernels (and the Dist8 escape-sidecar kernel) must
+//! answer **byte-identically** to the scalar reference kernel, and every
+//! storage backend must answer like a graph search. Two layers:
 //!
 //! * direct kernel calls on synthetic sentinel-terminated labels
-//!   (proptest-driven, no global state);
-//! * end-to-end `distance` through the runtime kernel selection
-//!   (`set_kernel`), which is process-global — those tests serialise on
-//!   [`KERNEL_LOCK`] so the test harness's thread pool cannot
-//!   interleave two kernel switches.
+//!   (proptest-driven), branchless against scalar;
+//! * end-to-end `distance` on all four index variants: the owned index,
+//!   its zero-copy (v2) reopening and, for weighted, both distance-arena
+//!   widths answer every sampled pair exactly as BFS, Dijkstra or their
+//!   plain directed forms do.
 
 use proptest::prelude::*;
-use pruned_landmark_labeling::graph::{gen, Xoshiro256pp};
+use pruned_landmark_labeling::graph::traversal::{bfs, dijkstra};
+use pruned_landmark_labeling::graph::wdigraph::WeightedDigraph;
+use pruned_landmark_labeling::graph::{gen, CsrDigraph, CsrGraph, Xoshiro256pp, INF_U32, INF_U64};
 use pruned_landmark_labeling::pll::kernel::{
-    merge_query_branchless, merge_query_scalar, merge_query_unrolled,
-    merge_query_weighted_branchless, merge_query_weighted_dist8_branchless,
-    merge_query_weighted_dist8_scalar, merge_query_weighted_scalar, merge_query_weighted_unrolled,
+    merge_query_branchless, merge_query_scalar, merge_query_weighted_branchless,
+    merge_query_weighted_dist8_branchless, merge_query_weighted_dist8_scalar,
+    merge_query_weighted_scalar,
 };
 use pruned_landmark_labeling::pll::types::RANK_SENTINEL;
 use pruned_landmark_labeling::pll::v2::{
@@ -26,54 +27,92 @@ use pruned_landmark_labeling::pll::v2::{
 };
 use pruned_landmark_labeling::pll::weighted_dist8::encode_dist8;
 use pruned_landmark_labeling::pll::{
-    set_kernel, AlignedBytes, AnyIndex, DirectedIndexBuilder, IndexBuilder, KernelKind,
-    WeightedDirectedIndexBuilder, WeightedDist8Index, WeightedIndexBuilder,
+    AlignedBytes, AnyIndex, DirectedIndexBuilder, IndexBuilder, WeightedDirectedIndexBuilder,
+    WeightedDist8Index, WeightedIndexBuilder,
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
-/// Serialises every test that touches the process-global kernel switch.
-static KERNEL_LOCK: Mutex<()> = Mutex::new(());
-
-fn kernel_lock() -> MutexGuard<'static, ()> {
-    KERNEL_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-const KERNELS: [KernelKind; 3] = [
-    KernelKind::Scalar,
-    KernelKind::Branchless,
-    KernelKind::Unrolled,
-];
-
-/// Collects `distance` over every sampled pair under one kernel.
-fn sample_distances(any: &AnyIndex, n: u32, kind: KernelKind) -> Vec<Option<u64>> {
-    set_kernel(kind);
+/// Collects `distance` over the sampled pairs: every source, every
+/// third target.
+fn sample(n: u32, mut distance: impl FnMut(u32, u32) -> Option<u64>) -> Vec<Option<u64>> {
     let mut out = Vec::new();
     for s in 0..n {
         for t in (0..n).step_by(3) {
-            out.push(any.distance(s, t));
+            out.push(distance(s, t));
         }
     }
     out
 }
 
-/// Asserts that every kernel answers the sampled pairs identically to
-/// scalar, for each provided (label, index) backend.
-fn assert_kernels_agree(backends: &[(&str, AnyIndex)], n: u32) {
-    let _guard = kernel_lock();
-    let reference = sample_distances(&backends[0].1, n, KernelKind::Scalar);
-    for (label, any) in backends {
-        for kind in KERNELS {
-            assert_eq!(
-                sample_distances(any, n, kind),
-                reference,
-                "{label} under the {} kernel diverged from the scalar reference",
-                kind.name()
-            );
+/// The sampled pairs' answers from one single-source search per source;
+/// `search(s)` returns every vertex's distance from `s`, [`INF_U64`]
+/// where unreachable.
+fn oracle(n: u32, mut search: impl FnMut(u32) -> Vec<u64>) -> Vec<Option<u64>> {
+    let mut from = (u32::MAX, Vec::new());
+    sample(n, |s, t| {
+        if from.0 != s {
+            from = (s, search(s));
+        }
+        Some(from.1[t as usize]).filter(|&d| d != INF_U64)
+    })
+}
+
+/// Undirected BFS distances from `s`, widened to the oracle's `u64`.
+fn bfs_from(g: &CsrGraph, s: u32) -> Vec<u64> {
+    bfs::distances(g, s)
+        .into_iter()
+        .map(|d| if d == INF_U32 { INF_U64 } else { u64::from(d) })
+        .collect()
+}
+
+/// Plain directed BFS over out-arcs.
+fn directed_bfs(g: &CsrDigraph, s: u32) -> Vec<u64> {
+    let mut dist = vec![INF_U64; g.num_vertices()];
+    dist[s as usize] = 0;
+    let mut queue = VecDeque::from([s]);
+    while let Some(u) = queue.pop_front() {
+        for &w in g.out_neighbors(u) {
+            if dist[w as usize] == INF_U64 {
+                dist[w as usize] = dist[u as usize] + 1;
+                queue.push_back(w);
+            }
         }
     }
-    set_kernel(KernelKind::Branchless);
+    dist
+}
+
+/// Plain directed Dijkstra over weighted out-arcs.
+fn directed_dijkstra(g: &WeightedDigraph, s: u32) -> Vec<u64> {
+    let mut dist = vec![INF_U64; g.num_vertices()];
+    dist[s as usize] = 0;
+    let mut heap = BinaryHeap::from([Reverse((0u64, s))]);
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if d > dist[u as usize] {
+            continue;
+        }
+        for (w, weight) in g.out_neighbors(u) {
+            let via = d + u64::from(weight);
+            if via < dist[w as usize] {
+                dist[w as usize] = via;
+                heap.push(Reverse((via, w)));
+            }
+        }
+    }
+    dist
+}
+
+/// Asserts that every backend answers the sampled pairs exactly as the
+/// oracle does (and therefore identically to one another).
+fn assert_backends_match(backends: &[(&str, AnyIndex)], n: u32, want: &[Option<u64>]) {
+    for (label, any) in backends {
+        assert_eq!(
+            sample(n, |s, t| any.distance(s, t)),
+            want,
+            "{label} diverged from the graph-search oracle"
+        );
+    }
 }
 
 fn reopen(bytes: &[u8]) -> AnyIndex {
@@ -90,7 +129,7 @@ fn undirected_kernels_agree_owned_and_zero_copy() {
         ("owned undirected", AnyIndex::Undirected(idx)),
         ("zero-copy undirected", reopen(&buf)),
     ];
-    assert_kernels_agree(&backends, 90);
+    assert_backends_match(&backends, 90, &oracle(90, |s| bfs_from(&g, s)));
 }
 
 #[test]
@@ -104,7 +143,7 @@ fn directed_kernels_agree_owned_and_zero_copy() {
         ("owned directed", AnyIndex::Directed(idx)),
         ("zero-copy directed", reopen(&buf)),
     ];
-    assert_kernels_agree(&backends, 80);
+    assert_backends_match(&backends, 80, &oracle(80, |s| directed_bfs(&dg, s)));
 }
 
 #[test]
@@ -126,41 +165,22 @@ fn weighted_kernels_agree_across_all_backends_and_arena_widths() {
         "narrowed file must reopen as Dist8"
     );
 
+    let mut engine = dijkstra::DijkstraEngine::new(80);
+    let want = oracle(80, |s| engine.run(&wg, s).to_vec());
     // The owned Dist8 index has no AnyIndex variant (narrowing is a
-    // file-format concern), so compare it against scalar-u32 directly.
-    {
-        let _guard = kernel_lock();
-        set_kernel(KernelKind::Scalar);
-        let mut reference = Vec::new();
-        for s in 0..80u32 {
-            for t in (0..80u32).step_by(3) {
-                reference.push(idx.distance(s, t));
-            }
-        }
-        for kind in KERNELS {
-            set_kernel(kind);
-            let mut got = Vec::new();
-            for s in 0..80u32 {
-                for t in (0..80u32).step_by(3) {
-                    got.push(owned_u8.distance(s, t));
-                }
-            }
-            assert_eq!(
-                got,
-                reference,
-                "owned Dist8 under the {} kernel diverged from the scalar u32 reference",
-                kind.name()
-            );
-        }
-        set_kernel(KernelKind::Branchless);
-    }
+    // file-format concern), so sample it directly.
+    assert_eq!(
+        sample(80, |s, t| owned_u8.distance(s, t)),
+        want,
+        "owned Dist8 diverged from the graph-search oracle"
+    );
 
     let backends = [
         ("owned weighted u32", AnyIndex::Weighted(idx)),
         ("zero-copy weighted u32", reopen(&u32_file)),
         ("zero-copy weighted u8", u8_view),
     ];
-    assert_kernels_agree(&backends, 80);
+    assert_backends_match(&backends, 80, &want);
 }
 
 #[test]
@@ -174,11 +194,11 @@ fn weighted_directed_kernels_agree_owned_and_zero_copy() {
         ("owned weighted-directed", AnyIndex::WeightedDirected(idx)),
         ("zero-copy weighted-directed", reopen(&buf)),
     ];
-    assert_kernels_agree(&backends, 70);
+    assert_backends_match(&backends, 70, &oracle(70, |s| directed_dijkstra(&wd, s)));
 }
 
 // ---------------------------------------------------------------------------
-// Direct kernel-level properties (no global state)
+// Direct kernel-level properties
 // ---------------------------------------------------------------------------
 
 /// Builds one sentinel-terminated label from proptest-chosen entries:
@@ -200,8 +220,8 @@ fn build_label(entries: &[(u32, u8)]) -> (Vec<u32>, Vec<u8>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Unweighted: branchless and unrolled equal scalar on arbitrary
-    /// well-formed labels.
+    /// Unweighted: branchless equals scalar on arbitrary well-formed
+    /// labels.
     #[test]
     fn unweighted_kernels_equal_scalar(
         a in proptest::collection::vec((0u32..64, any::<u8>()), 0..40),
@@ -211,7 +231,6 @@ proptest! {
         let (vr, vd) = build_label(&b);
         let want = merge_query_scalar(&ur, &ud, &vr, &vd);
         prop_assert_eq!(merge_query_branchless(&ur, &ud, &vr, &vd), want);
-        prop_assert_eq!(merge_query_unrolled(&ur, &ud, &vr, &vd), want);
     }
 
     /// Weighted: same property over u32 distance arenas.
@@ -231,7 +250,6 @@ proptest! {
         let (br, bd) = widen(&b);
         let want = merge_query_weighted_scalar(&ar, &ad, &br, &bd);
         prop_assert_eq!(merge_query_weighted_branchless(&ar, &ad, &br, &bd), want);
-        prop_assert_eq!(merge_query_weighted_unrolled(&ar, &ad, &br, &bd), want);
     }
 
     /// Dist8: narrowing a u32 arena and querying through the escape
@@ -281,7 +299,6 @@ proptest! {
 /// deterministic seeded sweep (cheap enough to run exhaustively).
 #[test]
 fn random_graphs_agree_end_to_end() {
-    let _guard = kernel_lock();
     let mut rng = Xoshiro256pp::seed_from_u64(99);
     for round in 0..4 {
         let n = 30 + 10 * round;
@@ -290,16 +307,13 @@ fn random_graphs_agree_end_to_end() {
             .bit_parallel_roots((round % 3) * 2)
             .build(&g)
             .unwrap();
-        let any = AnyIndex::Undirected(idx);
-        let reference = sample_distances(&any, n as u32, KernelKind::Scalar);
-        for kind in [KernelKind::Branchless, KernelKind::Unrolled] {
-            assert_eq!(
-                sample_distances(&any, n as u32, kind),
-                reference,
-                "round {round}: {} diverged",
-                kind.name()
-            );
-        }
+        let mut buf = Vec::new();
+        save_v2_index(&idx, &mut buf).unwrap();
+        let backends = [
+            ("owned", AnyIndex::Undirected(idx)),
+            ("zero-copy", reopen(&buf)),
+        ];
+        let n = n as u32;
+        assert_backends_match(&backends, n, &oracle(n, |s| bfs_from(&g, s)));
     }
-    set_kernel(KernelKind::Branchless);
 }

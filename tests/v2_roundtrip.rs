@@ -13,7 +13,7 @@ use pruned_landmark_labeling::pll::{
 };
 use std::sync::Arc;
 
-/// Fixed pair set the acceptance criterion quantifies over.
+/// Fixed pair set the round-trip equality quantifies over.
 fn fixed_pairs(n: u32) -> Vec<(u32, u32)> {
     let mut pairs = Vec::new();
     for i in 0..n {
